@@ -21,7 +21,7 @@
 #include "eval/metrics.h"
 #include "eval/text_table.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "rulegen/discovery.h"
 
 namespace fixrep::bench {
@@ -87,10 +87,15 @@ void ParallelScalingAblation(const Workload& workload) {
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     // Median of three runs to steady the small numbers.
     double best_ms = 1e100;
+    RepairDriverOptions options;
+    options.threads = threads;
     for (int run = 0; run < 3; ++run) {
       Table copy = workload.dirty;
       Timer timer;
-      ParallelRepairTable(workload.rules, &copy, threads);
+      const CompiledRuleIndex index(&workload.rules);
+      RepairDriver driver(index, options);
+      driver.RepairRows(&copy, 0, copy.num_rows());
+      driver.FlushMetrics();
       best_ms = std::min(best_ms, timer.ElapsedMillis());
     }
     if (threads == 1) base_ms = best_ms;

@@ -1,17 +1,15 @@
 // Fig. 13 — repair efficiency: cRepair vs lRepair while the rule count
 // grows (hosp 100..1000 rules, uis 10..100 rules), plus the performance
-// layer on top of lRepair: shared compiled index, tuple-signature memo,
-// and pooled work-claiming parallelism on a duplicate-heavy hosp-style
-// table.
+// layer on top of lRepair: shared compiled index and the pooled
+// work-claiming driver on a duplicate-heavy hosp-style table.
 //
 // Paper shape: lRepair is the faster engine except at very small rule
 // counts, where the index overhead lets cRepair keep up; both are linear
 // in the data size.
 //
 // Besides the google-benchmark table, the run emits BENCH_repair.json
-// (rows/s, per-phase ns, memo hit rate, thread count) so the perf
-// trajectory is tracked across PRs. Flags: --threads=N, --no-memo (env:
-// FIXREP_THREADS, FIXREP_NO_MEMO).
+// (rows/s, per-phase ns, thread count) so the perf trajectory is tracked
+// across PRs. Flag: --threads=N (env: FIXREP_THREADS).
 //
 // Telemetry (docs/observability.md): FIXREP_TELEMETRY_OUT=<path> writes
 // the JSONL event journal for the run (heartbeats + the streaming
@@ -46,8 +44,8 @@
 #include "relation/row_store.h"
 #include "repair/config.h"
 #include "repair/crepair.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/recovery.h"
 #include "repair/session.h"
 #include "repair/streaming.h"
@@ -83,7 +81,7 @@ const Workload& UisWorkload() {
   return *workload;
 }
 
-// The memo/parallel showcase table: hosp rows resampled so ~32 copies of
+// The parallel showcase table: hosp rows resampled so ~32 copies of
 // every distinct dirty tuple occur (hosp-at-scale duplicate density).
 const Table& DuplicateHeavyTable() {
   static const Table* table = [] {
@@ -153,41 +151,21 @@ void BM_Uis_lRepair(::benchmark::State& state) {
   RepairWholeTable<FastRepairer>(state, UisWorkload());
 }
 
-// lRepair configurations over the duplicate-heavy table, all sharing one
-// compiled index: plain serial chase, memoized serial, and the pooled
-// parallel engine with worker-local memo caches.
-enum class Config { kSerial, kSerialMemo, kPooledMemo, kPooledNoMemo };
-
-void RepairDuplicateHeavy(::benchmark::State& state, Config config) {
+// lRepair over the duplicate-heavy table through the one driver, sharing
+// one compiled index: serial (threads = 1) and pooled.
+void RepairDuplicateHeavy(::benchmark::State& state, size_t threads) {
   const Workload& workload = HospWorkload();
   const Table& dup = DuplicateHeavyTable();
   const CompiledRuleIndex index(&workload.rules);
+  RepairDriverOptions options;
+  options.threads = threads;
   for (auto _ : state) {
     state.PauseTiming();
     Table copy = dup;
     state.ResumeTiming();
-    switch (config) {
-      case Config::kSerial: {
-        FastRepairer repairer(&index);
-        repairer.RepairTable(&copy);
-        break;
-      }
-      case Config::kSerialMemo: {
-        FastRepairer repairer(&index);
-        MemoCache memo;
-        repairer.set_memo(&memo);
-        repairer.RepairTable(&copy);
-        break;
-      }
-      case Config::kPooledMemo:
-      case Config::kPooledNoMemo: {
-        ParallelRepairOptions options;
-        options.threads = g_config.threads;
-        options.use_memo = config == Config::kPooledMemo;
-        ParallelRepairTable(index, &copy, options);
-        break;
-      }
-    }
+    RepairDriver driver(index, options);
+    driver.RepairRows(&copy, 0, copy.num_rows());
+    driver.FlushMetrics();
     ::benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(
@@ -195,16 +173,10 @@ void RepairDuplicateHeavy(::benchmark::State& state, Config config) {
 }
 
 void BM_HospDup_lRepair(::benchmark::State& state) {
-  RepairDuplicateHeavy(state, Config::kSerial);
-}
-void BM_HospDup_lRepair_Memo(::benchmark::State& state) {
-  RepairDuplicateHeavy(state, Config::kSerialMemo);
+  RepairDuplicateHeavy(state, 1);
 }
 void BM_HospDup_lRepair_Pooled(::benchmark::State& state) {
-  RepairDuplicateHeavy(state, Config::kPooledNoMemo);
-}
-void BM_HospDup_lRepair_PooledMemo(::benchmark::State& state) {
-  RepairDuplicateHeavy(state, Config::kPooledMemo);
+  RepairDuplicateHeavy(state, g_config.threads);
 }
 
 BENCHMARK(BM_Hosp_cRepair)->DenseRange(100, 1000, 300)
@@ -216,13 +188,11 @@ BENCHMARK(BM_Uis_cRepair)->DenseRange(10, 100, 30)
 BENCHMARK(BM_Uis_lRepair)->DenseRange(10, 100, 30)
     ->Unit(::benchmark::kMillisecond);
 BENCHMARK(BM_HospDup_lRepair)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_HospDup_lRepair_Memo)->Unit(::benchmark::kMillisecond);
 BENCHMARK(BM_HospDup_lRepair_Pooled)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_HospDup_lRepair_PooledMemo)->Unit(::benchmark::kMillisecond);
 
-// One measured before/after pass for BENCH_repair.json: baseline is the
-// serial non-memoized chase, "after" is the pooled engine with memo (the
-// default production configuration).
+// One measured pass for BENCH_repair.json: the serial chase under the
+// scalar and the active SIMD kernel, then the streaming, dictionary and
+// daemon sections.
 void WriteRepairJson() {
   const Workload& workload = HospWorkload();
   const Table& dup = DuplicateHeavyTable();
@@ -231,12 +201,6 @@ void WriteRepairJson() {
   const size_t threads = g_config.threads == 0
                              ? ThreadPool::Global().num_workers() + 1
                              : g_config.threads;
-
-  auto& registry = MetricsRegistry::Global();
-  const auto counter = [&](const char* name) {
-    const Counter* c = registry.FindCounter(name);
-    return c == nullptr ? uint64_t{0} : c->Value();
-  };
 
   // Best-of-3 per configuration (table copies made off the clock):
   // one-shot timings on a loaded machine are too noisy for a number
@@ -279,7 +243,7 @@ void WriteRepairJson() {
   SetSimdKernel(active_kernel);
   const double baseline_ms = baseline.ms;
 
-  // The same serial non-memoized chase under the active SIMD kernel —
+  // The same serial chase under the active SIMD kernel —
   // the tentpole number. Skipped entirely when the active kernel IS
   // scalar (FIXREP_SIMD=off, non-x86): the section would duplicate
   // serial_baseline, and its absence lets the regression checker skip
@@ -291,31 +255,8 @@ void WriteRepairJson() {
       repairer.RepairTable(copy);
     });
   }
-  const RunCost memo = best_of("fig13_memo", [&](Table* copy) {
-    FastRepairer repairer(&index);
-    MemoCache memo_cache;
-    repairer.set_memo(&memo_cache);
-    repairer.RepairTable(copy);
-  });
-  const double memo_ms = memo.ms;
-  const uint64_t hits_before = counter("fixrep.memo.hits");
-  const uint64_t misses_before = counter("fixrep.memo.misses");
-  const RunCost pooled = best_of("fig13_pooled_memo", [&](Table* copy) {
-    ParallelRepairOptions options;
-    options.threads = g_config.threads;
-    options.use_memo = g_config.use_memo;
-    ParallelRepairTable(index, copy, options);
-  });
-  const double pooled_ms = pooled.ms;
-  const uint64_t hits = counter("fixrep.memo.hits") - hits_before;
-  const uint64_t misses = counter("fixrep.memo.misses") - misses_before;
-  const double hit_rate =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-
   // End-to-end chunked pipeline: CSV text in, repaired CSV text out,
-  // through the streaming session (serial + memo, the CLI's --stream
+  // through the streaming session (serial, the CLI's --stream
   // defaults). Rendered once off the clock; the measured region is
   // parse + repair + serialize, the whole-file ingest-to-emit path.
   constexpr size_t kStreamChunkRows = 4096;
@@ -766,7 +707,6 @@ void WriteRepairJson() {
   json.Set("workload", "distinct_rows",
            static_cast<double>(std::max<size_t>(rows / 32, 1)));
   json.Set("workload", "thread_count", static_cast<double>(threads));
-  json.Set("workload", "memo_enabled", g_config.use_memo ? 1.0 : 0.0);
   json.SetString("workload", "simd_kernel", SimdKernelName(active_kernel));
   json.Set("serial_baseline", "ms", baseline_ms);
   json.Set("serial_baseline", "rows_per_sec", rows / (baseline_ms / 1e3));
@@ -777,14 +717,6 @@ void WriteRepairJson() {
     json.Set("serial_nomemo_simd", "allocations", simd.allocations);
     json.Set("serial_nomemo_simd", "speedup_vs_scalar", baseline_ms / simd.ms);
   }
-  json.Set("serial_memo", "ms", memo_ms);
-  json.Set("serial_memo", "rows_per_sec", rows / (memo_ms / 1e3));
-  json.Set("serial_memo", "allocations", memo.allocations);
-  json.Set("pooled_memo", "ms", pooled_ms);
-  json.Set("pooled_memo", "rows_per_sec", rows / (pooled_ms / 1e3));
-  json.Set("pooled_memo", "allocations", pooled.allocations);
-  json.Set("pooled_memo", "memo_hit_rate", hit_rate);
-  json.Set("pooled_memo", "speedup_vs_baseline", baseline_ms / pooled_ms);
   json.Set("streaming_chunked", "ms", streaming.ms);
   json.Set("streaming_chunked", "rows_per_sec", rows / (streaming.ms / 1e3));
   json.Set("streaming_chunked", "allocations", streaming.allocations);
@@ -871,12 +803,8 @@ void WriteRepairJson() {
   json.Set("phases_ns", "index_build",
            SpanTotalNanos("lrepair.index_build"));
   json.Set("phases_ns", "chase", SpanTotalNanos("lrepair.chase"));
-  json.Set("phases_ns", "parallel_repair_table",
-           SpanTotalNanos("parallel.repair_table"));
   if (json.Write()) {
-    std::cout << "wrote " << json.path() << " (speedup "
-              << FormatDouble(baseline_ms / pooled_ms, 2) << "x, memo hit "
-              << FormatDouble(hit_rate * 100.0, 1) << "%, kernel "
+    std::cout << "wrote " << json.path() << " (kernel "
               << SimdKernelName(active_kernel);
     if (active_kernel != SimdKernel::kScalar) {
       std::cout << ", simd speedup "

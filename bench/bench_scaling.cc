@@ -1,8 +1,8 @@
 // Data-size scaling (supports the paper's "linear in data size" claim
 // for the repair algorithms, Exp-3): wall-clock of lRepair (serial and
-// pooled+memoized), cRepair, and FD violation detection while the hosp
-// row count doubles. Emits BENCH_repair.json (rows/s per size, memo hit
-// rate, thread count). Flags: --threads=N, --no-memo.
+// pooled), cRepair, and FD violation detection while the hosp row count
+// doubles. Emits BENCH_repair.json (rows/s per size, thread count).
+// Flag: --threads=N.
 
 #include <iostream>
 #include <string>
@@ -12,8 +12,8 @@
 #include "deps/violation.h"
 #include "eval/text_table.h"
 #include "repair/crepair.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 
 namespace fixrep::bench {
 namespace {
@@ -24,13 +24,11 @@ void Run(const BenchRepairConfig& config) {
                              ? ThreadPool::Global().num_workers() + 1
                              : config.threads;
   std::cout << "Data-size scaling — " << DescribeScale(scale) << "\n"
-            << "pooled engine: " << threads << " thread(s), memo "
-            << (config.use_memo ? "on" : "off") << "\n\n";
-  TextTable table({"rows", "lRepair (ms)", "us/row", "pooled+memo (ms)",
+            << "pooled engine: " << threads << " thread(s)\n\n";
+  TextTable table({"rows", "lRepair (ms)", "us/row", "pooled (ms)",
                    "cRepair (ms)", "violation detect (ms)"});
   BenchJson json("BENCH_repair.json");
   json.Set("workload", "thread_count", static_cast<double>(threads));
-  json.Set("workload", "memo_enabled", config.use_memo ? 1.0 : 0.0);
   const size_t max_rows = scale.full ? 115000 : 80000;
   for (size_t rows = 10000; rows <= max_rows; rows *= 2) {
     const Workload workload = MakeHospWorkload(rows, 500);
@@ -49,12 +47,13 @@ void Run(const BenchRepairConfig& config) {
     {
       Table copy = workload.dirty;
       const CompiledRuleIndex index(&workload.rules);
-      ParallelRepairOptions options;
+      RepairDriverOptions options;
       options.threads = config.threads;
-      options.use_memo = config.use_memo;
       const uint64_t allocs_before = AllocationCount();
-      pooled_ms = TimedMs("pooled_memo", [&] {
-        ParallelRepairTable(index, &copy, options);
+      pooled_ms = TimedMs("pooled", [&] {
+        RepairDriver driver(index, options);
+        driver.RepairRows(&copy, 0, copy.num_rows());
+        driver.FlushMetrics();
       });
       pooled_allocs =
           static_cast<double>(AllocationCount() - allocs_before);
@@ -79,20 +78,15 @@ void Run(const BenchRepairConfig& config) {
     const std::string section = "scaling_" + std::to_string(rows);
     json.Set(section, "lrepair_rows_per_sec", rows / (lrepair_ms / 1e3));
     json.Set(section, "lrepair_allocations", lrepair_allocs);
-    json.Set(section, "pooled_memo_rows_per_sec",
-             rows / (pooled_ms / 1e3));
-    json.Set(section, "pooled_memo_allocations", pooled_allocs);
+    json.Set(section, "pooled_rows_per_sec", rows / (pooled_ms / 1e3));
+    json.Set(section, "pooled_allocations", pooled_allocs);
     json.Set(section, "crepair_rows_per_sec", rows / (crepair_ms / 1e3));
   }
   table.Print(std::cout);
   std::cout << "\nShape check vs paper: per-row lRepair cost stays flat as "
                "the table doubles (linear scaling).\n";
-  const double hit_rate = MemoHitRate();
-  if (hit_rate >= 0.0) json.Set("workload", "memo_hit_rate", hit_rate);
   json.Set("phases_ns", "index_build", SpanTotalNanos("lrepair.index_build"));
   json.Set("phases_ns", "chase", SpanTotalNanos("lrepair.chase"));
-  json.Set("phases_ns", "parallel_repair_table",
-           SpanTotalNanos("parallel.repair_table"));
   json.Set("process", "peak_rss_bytes", PeakRssBytes());
   json.Set("process", "allocations_total",
            static_cast<double>(AllocationCount()));

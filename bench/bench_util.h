@@ -91,8 +91,7 @@ inline Workload MakeUisWorkload(size_t rows, size_t max_rules,
 // A duplicate-heavy table: `rows` tuples sampled (deterministic PRNG)
 // from the first `distinct` rows of `source`. Models real cleaning
 // workloads dominated by repeated value patterns — duplicated
-// registrations, repeated form entries — the regime the repair memo
-// targets.
+// registrations, repeated form entries.
 inline Table MakeDuplicateHeavy(const Table& source, size_t rows,
                                 size_t distinct, uint64_t seed = 0x9d2c) {
   Table table(source.schema_ptr(), source.pool_ptr());

@@ -6,7 +6,7 @@ BENCH_repair.json against the committed baseline and exits non-zero when
 any entry present in both files has dropped by more than --tolerance
 (default 25%: wall-clock sections on a shared machine see double-digit
 scheduler noise between runs, while the regressions this guards against
--- losing memoization, pooling, or block reuse -- cost 2-10x). Entries present on only one side are reported and skipped
+-- losing batched probes, pooling, or block reuse -- cost 2-10x). Entries present on only one side are reported and skipped
 (bench_fig13_repair and bench_scaling emit different section sets into
 the same file), but finding *no* comparable entry at all is an error —
 that means the check compared the wrong files.

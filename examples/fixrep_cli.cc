@@ -27,23 +27,25 @@
 //                        [--resolve pruned_rules.txt]
 //   fixrep_cli repair    --rules rules.txt --in dirty.csv --out fixed.csv
 //                        [--engine lrepair|crepair] [--threads N]
-//                        [--no-memo] [--log] [--stream] [--chunk-rows N]
+//                        [--log] [--stream] [--chunk-rows N]
 //                        [--memory-budget SIZE] [--prune]
 //                        [--on-error=abort|skip|quarantine]
 //                        [--quarantine-out q.csv] [--max-chase-steps N]
 //                        [--wal wal.bin] [--resume]
-//                        [--rules-dict dict.frd] [--shards N]
+//                        [--rules-dict dict.frd]
+//                        every flag besides --rules/--in/--out/--log/
+//                        --stream/--quarantine-out (and the global
+//                        flags) is a repair config key (repair/config.h
+//                        grammar); an unknown key is a usage error.
 //                        --rules-dict repairs against a compiled
 //                        dictionary (mmap, demand-paged) instead of
-//                        --rules; output is byte-identical. --shards
-//                        routes tuples to N workers by content hash
-//                        (repair/sharded.h) instead of claiming row
-//                        ranges; output is byte-identical either way.
-//                        --threads N uses the pooled parallel engine
-//                        (N=0 picks the hardware width); repair memoizes
-//                        byte-identical tuples by default, --no-memo
-//                        disables the cache (output is bit-identical
-//                        either way)
+//                        --rules; output is byte-identical.
+//                        --threads N claims row ranges on the pooled
+//                        engine (N=0 picks the hardware width); output
+//                        is byte-identical to a serial run.
+//                        --log prints every cell write in lRepair chase
+//                        order (rows ascending; lrepair engine, no
+//                        --stream), the lines `audit` prints from a WAL.
 //                        --on-error=abort (default) fails fast on the
 //                        first malformed row/rule; skip drops bad
 //                        records; quarantine drops them and writes
@@ -56,7 +58,7 @@
 //                        (--chunk-rows, default 65536) with peak memory
 //                        proportional to one chunk; the output CSV and
 //                        quarantine file are byte-identical to the
-//                        whole-table run (lrepair engine only, no --log).
+//                        whole-table run (lrepair engine only).
 //                        --memory-budget=64MB (K/M/G suffixes) spills
 //                        chunk cell blocks past the budget to a
 //                        temp-backed mmap file; without --chunk-rows the
@@ -104,8 +106,7 @@
 //                        completion before exit.
 //   fixrep_cli submit    --socket S|--port N --tenant NAME --in d.csv
 //                        --out fixed.csv [--quarantine-out q.csv]
-//                        [--engine ...] [--threads N] [--shards N]
-//                        [--no-memo] [--memo-capacity N]
+//                        [--engine ...] [--threads N]
 //                        [--on-error=...] [--max-chase-steps N]
 //                        repairs one CSV batch through a running
 //                        daemon; the repair knobs travel as config
@@ -269,6 +270,11 @@ class Args {
     return Has(key) ? std::strtod(Get(key).c_str(), nullptr) : fallback;
   }
 
+  // Every flag in command-line order, repeats included.
+  const std::vector<std::pair<std::string, std::string>>& ordered() const {
+    return ordered_;
+  }
+
   // Every value given for a repeated flag (serve takes one --ruleset per
   // hosted rule set), in command-line order. Get/Require keep their
   // last-one-wins semantics for the scalar flags.
@@ -292,32 +298,38 @@ class Args {
   std::vector<std::pair<std::string, std::string>> ordered_;
 };
 
-// Applies one --flag through the shared key/value grammar of
-// repair/config.h; a parse failure is a usage error.
-void ApplyConfigFlag(const Args& args, const std::string& key,
-                     RepairConfig* config) {
-  std::string value = args.Get(key);
-  // Bare --threads means "the pool's full width", as it always has.
-  if (key == "threads" && value.empty()) value = "0";
-  const Status status = ParseRepairConfig(key, value, config);
-  if (!status.ok()) {
-    std::cerr << "bad --" << key << ": " << status << "\n";
-    std::exit(2);
+// Flags any command accepts (handled in Main).
+bool IsGlobalFlag(const std::string& key) {
+  for (const char* global :
+       {"log-level", "metrics-out", "telemetry-out", "heartbeat-ms",
+        "metrics-socket", "metrics-port", "port-file", "progress", "no-simd"}) {
+    if (key == global) return true;
   }
+  return false;
 }
 
-// Builds the RepairConfig shared by all repair flows from the command
-// line. Every knob funnels through ParseRepairConfig — the same grammar
-// the daemon applies to wire-request config headers — so a flag behaves
-// identically on both surfaces. The per-flow callers fill in quarantine
-// sinks and chunking.
-RepairConfig ConfigFromArgs(const Args& args, OnErrorPolicy policy) {
+// Builds the RepairConfig of the repair and submit verbs. Every flag that
+// is neither global nor one of the verb's own `verb_flags` is a config
+// key and funnels through ParseRepairConfig — the same grammar the daemon
+// applies to wire-request config headers — so a knob behaves identically
+// on both surfaces, and an unknown or removed key is a usage error.
+RepairConfig ConfigFromArgs(const Args& args,
+                            std::initializer_list<const char*> verb_flags) {
   RepairConfig config;
-  for (const char* key : {"engine", "threads", "shards", "rules-dict",
-                          "no-memo", "memo-capacity", "max-chase-steps"}) {
-    if (args.Has(key)) ApplyConfigFlag(args, key, &config);
+  for (const auto& [key, flag_value] : args.ordered()) {
+    if (IsGlobalFlag(key)) continue;
+    bool verb_flag = false;
+    for (const char* flag : verb_flags) verb_flag |= key == flag;
+    if (verb_flag) continue;
+    // Bare --threads means "the pool's full width", as it always has.
+    const std::string value =
+        key == "threads" && flag_value.empty() ? "0" : flag_value;
+    const Status status = ParseRepairConfig(key, value, &config);
+    if (!status.ok()) {
+      std::cerr << "bad --" << key << ": " << status << "\n";
+      std::exit(2);
+    }
   }
-  config.on_error = policy;
   return config;
 }
 
@@ -603,18 +615,60 @@ int WriteQuarantineFile(const std::string& path,
   return 0;
 }
 
+// Parses --rules into *rules unless --rules-dict names the backend;
+// malformed rule blocks follow `policy`. False (after reporting) on error.
+bool LoadRules(const Args& args, std::shared_ptr<const Schema> schema,
+               const std::shared_ptr<ValuePool>& pool, OnErrorPolicy policy,
+               VectorQuarantineSink* rule_sink,
+               std::optional<RuleSet>* rules) {
+  if (args.Has("rules-dict")) return true;
+  RuleParseOptions rule_options;
+  rule_options.on_error = policy;
+  rule_options.quarantine =
+      policy == OnErrorPolicy::kQuarantine ? rule_sink : nullptr;
+  StatusOr<RuleSet> rules_or = ParseRulesFileLenient(
+      args.Require("rules"), std::move(schema), pool, rule_options);
+  if (!rules_or.ok()) {
+    std::cerr << "error reading --rules: " << rules_or.status() << "\n";
+    return false;
+  }
+  rules->emplace(std::move(rules_or).value());
+  return true;
+}
+
+// The skip/quarantine summary line shared by the repair flows.
+void PrintOnErrorSummary(const Args& args, OnErrorPolicy policy,
+                         size_t tuples_quarantined) {
+  if (policy == OnErrorPolicy::kAbort) return;
+  const auto* rows_counter =
+      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rows");
+  const auto* rules_counter =
+      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rules");
+  std::cout << "on-error=" << OnErrorPolicyName(policy) << ": dropped "
+            << (rows_counter == nullptr ? 0 : rows_counter->Value())
+            << " malformed rows, "
+            << (rules_counter == nullptr ? 0 : rules_counter->Value())
+            << " malformed rule blocks, quarantined " << tuples_quarantined
+            << " tuples";
+  if (args.Has("quarantine-out")) {
+    std::cout << " -> " << args.Get("quarantine-out");
+  }
+  std::cout << "\n";
+}
+
 // Chunked streaming repair (repair/streaming.h): the input CSV never
 // lives in memory whole. Handles every --on-error policy; the emitted
 // CSV and quarantine file are byte-identical to the whole-table run.
-int RepairStream(const Args& args, OnErrorPolicy policy) {
+int RepairStream(const Args& args, RepairConfig config) {
   if (args.Has("log")) {
     std::cerr << "--log (provenance) is incompatible with --stream\n";
     return 2;
   }
-  if (args.Get("engine", "lrepair") != "lrepair") {
+  if (config.engine != RepairEngine::kLRepair) {
     std::cerr << "--stream supports --engine=lrepair only\n";
     return 2;
   }
+  const OnErrorPolicy policy = config.on_error;
   auto pool = std::make_shared<ValuePool>();
   const bool quarantining = policy == OnErrorPolicy::kQuarantine;
   VectorQuarantineSink row_sink;
@@ -647,26 +701,12 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
   }
   CsvChunkReader reader = std::move(reader_or).value();
   std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
-    RuleParseOptions rule_options;
-    rule_options.on_error = policy;
-    rule_options.quarantine = quarantining ? &rule_sink : nullptr;
-    StatusOr<RuleSet> rules_or = ParseRulesFileLenient(
-        args.Require("rules"), reader.schema(), pool, rule_options);
-    if (!rules_or.ok()) {
-      std::cerr << "error reading --rules: " << rules_or.status() << "\n";
-      return 1;
-    }
-    rules.emplace(std::move(rules_or).value());
+  if (!LoadRules(args, reader.schema(), pool, policy, &rule_sink, &rules)) {
+    return 1;
   }
   load.reset();
 
-  RepairConfig config = ConfigFromArgs(args, policy);
   config.quarantine = quarantining ? &tuple_sink : nullptr;
-  for (const char* key : {"memory-budget", "chunk-rows", "prune", "wal",
-                          "resume"}) {
-    if (args.Has(key)) ApplyConfigFlag(args, key, &config);
-  }
   if (!args.Has("chunk-rows") && config.memory_budget_bytes > 0) {
     // A budget with no explicit chunking means "let the spill file, not
     // the chunk size, bound memory": one whole-file chunk.
@@ -728,37 +768,26 @@ int RepairStream(const Args& args, OnErrorPolicy policy) {
     std::cout << "pruned " << result.columns_pruned
               << " columns never mentioned by a rule\n";
   }
-  if (policy != OnErrorPolicy::kAbort) {
-    const auto* rows_counter =
-        MetricsRegistry::Global().FindCounter("fixrep.quarantine.rows");
-    const auto* rules_counter =
-        MetricsRegistry::Global().FindCounter("fixrep.quarantine.rules");
-    std::cout << "on-error=" << OnErrorPolicyName(policy) << ": dropped "
-              << (rows_counter == nullptr ? 0 : rows_counter->Value())
-              << " malformed rows, "
-              << (rules_counter == nullptr ? 0 : rules_counter->Value())
-              << " malformed rule blocks, quarantined "
-              << result.tuples_quarantined << " tuples";
-    if (args.Has("quarantine-out")) {
-      std::cout << " -> " << args.Get("quarantine-out");
-    }
-    std::cout << "\n";
-  }
+  PrintOnErrorSummary(args, policy, result.tuples_quarantined);
   return 0;
 }
 
-// The fault-tolerant repair pipeline: malformed CSV rows and rule blocks
-// are dropped (skip) or captured with their raw text (quarantine), each
-// failing tuple is isolated with its original values preserved, and the
-// rest of the batch completes. Reports counts and writes the dead-letter
-// file at the end.
-int RepairLenient(const Args& args, OnErrorPolicy policy) {
+// The in-memory repair pipeline, for every --on-error policy: under
+// skip/quarantine, malformed CSV rows and rule blocks are dropped (skip)
+// or captured with their raw text (quarantine), each failing tuple is
+// isolated with its original values preserved, and the rest of the batch
+// completes. --log prints every cell write from the driver's capture.
+int RepairInMemory(const Args& args, RepairConfig config) {
+  const OnErrorPolicy policy = config.on_error;
   auto pool = std::make_shared<ValuePool>();
   const bool quarantining = policy == OnErrorPolicy::kQuarantine;
   VectorQuarantineSink row_sink;
   VectorQuarantineSink rule_sink;
   VectorQuarantineSink tuple_sink;
 
+  // Phase spans: cli.load and cli.write here, index build + chase inside
+  // the session — together they cover essentially the whole command, so
+  // the dumped timeline accounts for the total wall time.
   auto load = std::make_unique<TraceSpan>("cli.load");
   CsvReadOptions csv_options;
   csv_options.on_error = policy;
@@ -771,31 +800,25 @@ int RepairLenient(const Args& args, OnErrorPolicy policy) {
   }
   Table table = std::move(table_or).value();
   std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
-    RuleParseOptions rule_options;
-    rule_options.on_error = policy;
-    rule_options.quarantine = quarantining ? &rule_sink : nullptr;
-    StatusOr<RuleSet> rules_or = ParseRulesFileLenient(
-        args.Require("rules"), table.schema_ptr(), pool, rule_options);
-    if (!rules_or.ok()) {
-      std::cerr << "error reading --rules: " << rules_or.status() << "\n";
-      return 1;
-    }
-    rules.emplace(std::move(rules_or).value());
+  if (!LoadRules(args, table.schema_ptr(), pool, policy, &rule_sink,
+                 &rules)) {
+    return 1;
   }
   load.reset();
 
   Timer timer;
-  RepairConfig config = ConfigFromArgs(args, policy);
   config.quarantine = quarantining ? &tuple_sink : nullptr;
   RepairSession session(rules ? &*rules : nullptr, config);
-  StatusOr<RepairReport> report_or = session.Repair(&table);
+  RepairLog log;
+  StatusOr<RepairReport> report_or =
+      session.Repair(&table, args.Has("log") ? &log.repairs : nullptr);
   if (!report_or.ok()) {
     std::cerr << "error repairing --in: " << report_or.status() << "\n";
     return 1;
   }
-  const size_t cells_changed = report_or.value().cells_changed;
-  const size_t tuples_quarantined = report_or.value().tuples_quarantined;
+  for (const CellRepair& repair : log.repairs) {
+    std::cout << log.Describe(repair, table.schema(), *pool) << "\n";
+  }
 
   {
     FIXREP_TRACE_SPAN("cli.write");
@@ -811,91 +834,29 @@ int RepairLenient(const Args& args, OnErrorPolicy policy) {
     if (rc != 0) return rc;
   }
 
-  const auto* rows_counter =
-      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rows");
-  const auto* rules_counter =
-      MetricsRegistry::Global().FindCounter("fixrep.quarantine.rules");
   std::cout << "repaired " << table.num_rows() << " rows ("
-            << cells_changed << " cells changed) in "
+            << report_or.value().cells_changed << " cells changed) in "
             << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
             << args.Get("out") << "\n";
-  std::cout << "on-error=" << OnErrorPolicyName(policy) << ": dropped "
-            << (rows_counter == nullptr ? 0 : rows_counter->Value())
-            << " malformed rows, "
-            << (rules_counter == nullptr ? 0 : rules_counter->Value())
-            << " malformed rule blocks, quarantined " << tuples_quarantined
-            << " tuples";
-  if (args.Has("quarantine-out")) {
-    std::cout << " -> " << args.Get("quarantine-out");
-  }
-  std::cout << "\n";
+  PrintOnErrorSummary(args, policy, report_or.value().tuples_quarantined);
   return 0;
 }
 
 int Repair(const Args& args) {
   const std::string on_error = args.Get("on-error", "abort");
-  const std::optional<OnErrorPolicy> policy =
-      TryParseOnErrorPolicy(on_error);
-  if (!policy.has_value()) {
+  if (!TryParseOnErrorPolicy(on_error).has_value()) {
     std::cerr << "unknown --on-error '" << on_error
               << "' (want abort|skip|quarantine)\n";
     return 2;
   }
-  if (args.Has("stream")) return RepairStream(args, *policy);
-  if (args.Has("wal") || args.Has("resume")) {
+  const RepairConfig config = ConfigFromArgs(
+      args, {"rules", "in", "out", "log", "stream", "quarantine-out"});
+  if (args.Has("stream")) return RepairStream(args, config);
+  if (!config.wal_path.empty() || config.resume) {
     std::cerr << "--wal/--resume require --stream\n";
     return 2;
   }
-  if (args.Has("log") && args.Has("rules-dict")) {
-    std::cerr << "--log (provenance) is incompatible with --rules-dict\n";
-    return 2;
-  }
-  if (*policy != OnErrorPolicy::kAbort) {
-    if (args.Has("log")) {
-      std::cerr << "--log (provenance) requires --on-error=abort\n";
-      return 2;
-    }
-    return RepairLenient(args, *policy);
-  }
-  auto pool = std::make_shared<ValuePool>();
-  // Phase spans: cli.load and cli.write here, index build + chase inside
-  // the engines — together they cover essentially the whole command, so
-  // the dumped timeline accounts for the total wall time.
-  auto load = std::make_unique<TraceSpan>("cli.load");
-  Table table = ReadCsvFile(args.Require("in"), "data", pool);
-  std::optional<RuleSet> rules;
-  if (!args.Has("rules-dict")) {
-    rules.emplace(
-        ParseRulesFile(args.Require("rules"), table.schema_ptr(), pool));
-  }
-  load.reset();
-  Timer timer;
-  size_t cells_changed = 0;
-  if (args.Has("log")) {
-    const RepairLog log = RepairWithProvenance(*rules, &table);
-    cells_changed = log.repairs.size();
-    for (const auto& repair : log.repairs) {
-      std::cout << log.Describe(repair, table.schema(), *pool) << "\n";
-    }
-  } else {
-    RepairSession session(rules ? &*rules : nullptr,
-                          ConfigFromArgs(args, OnErrorPolicy::kAbort));
-    StatusOr<RepairReport> report_or = session.Repair(&table);
-    if (!report_or.ok()) {
-      std::cerr << "error repairing --in: " << report_or.status() << "\n";
-      return 1;
-    }
-    cells_changed = report_or.value().cells_changed;
-  }
-  {
-    FIXREP_TRACE_SPAN("cli.write");
-    WriteCsvFile(table, args.Require("out"));
-  }
-  std::cout << "repaired " << table.num_rows() << " rows ("
-            << cells_changed << " cells changed) in "
-            << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
-            << args.Get("out") << "\n";
-  return 0;
+  return RepairInMemory(args, config);
 }
 
 // Offline WAL inspection: renders the log's deltas back into a
@@ -1175,13 +1136,13 @@ int Ping(const Args& args) {
 // local repair flows'.
 int Submit(const Args& args) {
   const std::string on_error = args.Get("on-error", "abort");
-  const std::optional<OnErrorPolicy> policy =
-      TryParseOnErrorPolicy(on_error);
-  if (!policy.has_value()) {
+  if (!TryParseOnErrorPolicy(on_error).has_value()) {
     std::cerr << "unknown --on-error '" << on_error
               << "' (want abort|skip|quarantine)\n";
     return 2;
   }
+  const RepairConfig config = ConfigFromArgs(
+      args, {"socket", "port", "tenant", "in", "out", "quarantine-out"});
   std::ifstream in(args.Require("in"), std::ios::binary);
   if (!in.good()) {
     std::cerr << "error reading --in: cannot open " << args.Get("in")
@@ -1196,7 +1157,7 @@ int Submit(const Args& args) {
   Timer timer;
   const StatusOr<serve::RepairResult> result = client->Submit(
       args.Require("tenant"),
-      FormatRepairConfig(ConfigFromArgs(args, *policy)), csv.str());
+      FormatRepairConfig(config), csv.str());
   if (!result.ok()) {
     std::cerr << "submit failed: " << result.status() << "\n";
     return 1;
@@ -1232,8 +1193,8 @@ int Submit(const Args& args) {
             << result->cells_changed << " cells changed) in "
             << FormatDouble(timer.ElapsedMillis(), 1) << " ms -> "
             << args.Get("out") << "\n";
-  if (*policy != OnErrorPolicy::kAbort) {
-    std::cout << "on-error=" << OnErrorPolicyName(*policy)
+  if (config.on_error != OnErrorPolicy::kAbort) {
+    std::cout << "on-error=" << OnErrorPolicyName(config.on_error)
               << ": quarantined " << result->tuples_quarantined
               << " tuples";
     if (args.Has("quarantine-out")) {

@@ -70,17 +70,7 @@ std::string DescribeMetrics() {
   append("fixrep.crepair.cells_changed");
   append("fixrep.consistency.pairs_checked");
   append("fixrep.discovery.rules_emitted");
-  append("fixrep.memo.hits");
-  append("fixrep.memo.misses");
   append("fixrep.pool.chunks_claimed");
-  const double hit_rate = MemoHitRate();
-  if (hit_rate >= 0.0) {
-    if (!out.empty()) out += ' ';
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "fixrep.memo.hit_rate=%.3f",
-                  hit_rate);
-    out += buffer;
-  }
   // Phase latency distributions: quantile estimates with the unit tagged
   // at registration, instead of the raw power-of-two buckets.
   const auto append_histogram = [&](const char* name) {
@@ -97,31 +87,17 @@ std::string DescribeMetrics() {
   };
   append_histogram("fixrep.span.lrepair.chase_ns");
   append_histogram("fixrep.span.streaming.run_ns");
-  append_histogram("fixrep.span.parallel.repair_table_ns");
   return out.empty() ? out : "metrics: " + out;
-}
-
-double MemoHitRate() {
-  const auto& registry = MetricsRegistry::Global();
-  const Counter* hits = registry.FindCounter("fixrep.memo.hits");
-  const Counter* misses = registry.FindCounter("fixrep.memo.misses");
-  const uint64_t h = hits == nullptr ? 0 : hits->Value();
-  const uint64_t m = misses == nullptr ? 0 : misses->Value();
-  if (h + m == 0) return -1.0;
-  return static_cast<double>(h) / static_cast<double>(h + m);
 }
 
 BenchRepairConfig ParseBenchRepairConfig(int argc, char** argv) {
   BenchRepairConfig config;
   config.threads = EnvSizeT("FIXREP_THREADS", 0);
-  config.use_memo = !EnvBool("FIXREP_NO_MEMO", false);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
       config.threads = static_cast<size_t>(
           std::strtoull(arg.c_str() + 10, nullptr, 10));
-    } else if (arg == "--no-memo") {
-      config.use_memo = false;
     }
   }
   return config;

@@ -41,16 +41,11 @@ std::string DescribeMetrics();
 // file was written. Benches call this last so any run can be mined.
 bool MaybeDumpMetrics();
 
-// Process-lifetime memo hit rate from the fixrep.memo.{hits,misses}
-// counters; -1.0 when the memo was never consulted.
-double MemoHitRate();
-
-// Repair-engine knobs shared by the benches: --threads=N and --no-memo
-// command-line flags, with FIXREP_THREADS / FIXREP_NO_MEMO env-var
-// fallbacks (flags win).
+// Repair-engine knobs shared by the benches: the --threads=N
+// command-line flag, with a FIXREP_THREADS env-var fallback (the flag
+// wins).
 struct BenchRepairConfig {
   size_t threads = 0;    // 0 = pool width
-  bool use_memo = true;
 };
 BenchRepairConfig ParseBenchRepairConfig(int argc, char** argv);
 

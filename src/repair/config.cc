@@ -1,7 +1,9 @@
 #include "repair/config.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 
 #include "common/quarantine.h"
@@ -10,14 +12,26 @@ namespace fixrep {
 
 namespace {
 
-bool ParseUint(const std::string& text, size_t* out) {
-  // strtoull would happily wrap "-1" into a huge count; digits only.
+// Digits only: a leading sign or whitespace is refused (strtoull would
+// wrap "-1" into a huge count), and so is anything past SIZE_MAX. With
+// `rest` null the digits must span the whole text; otherwise *rest
+// receives whatever follows them.
+bool ParseUint(const std::string& text, size_t* out,
+               const char** rest = nullptr) {
   if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
+  if (errno == ERANGE || value > std::numeric_limits<size_t>::max()) {
+    return false;
+  }
+  if (rest != nullptr) {
+    *rest = end;
+  } else if (*end != '\0') {
+    return false;
+  }
   *out = static_cast<size_t>(value);
   return true;
 }
@@ -43,11 +57,10 @@ Status BadValue(const std::string& key, const std::string& value,
 }  // namespace
 
 bool ParseByteSize(const std::string& text, size_t* bytes) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) return false;
-  std::string suffix(end);
+  size_t value = 0;
+  const char* rest = nullptr;
+  if (!ParseUint(text, &value, &rest)) return false;
+  std::string suffix(rest);
   if (!suffix.empty() && (suffix.back() == 'B' || suffix.back() == 'b')) {
     suffix.pop_back();
   }
@@ -61,7 +74,8 @@ bool ParseByteSize(const std::string& text, size_t* bytes) {
   } else if (!suffix.empty()) {
     return false;
   }
-  *bytes = static_cast<size_t>(value) * scale;
+  if (value > std::numeric_limits<size_t>::max() / scale) return false;
+  *bytes = value * scale;
   return true;
 }
 
@@ -85,37 +99,9 @@ Status ParseRepairConfig(const std::string& key, const std::string& value,
     config->threads = threads;
     return Status::Ok();
   }
-  if (key == "shards") {
-    size_t shards = 0;
-    if (!ParseUint(value, &shards)) {
-      return BadValue(key, value, "a shard count");
-    }
-    config->shards = shards;
-    return Status::Ok();
-  }
   if (key == "rules-dict") {
     if (value.empty()) return BadValue(key, value, "a dictionary path");
     config->rules_dict = value;
-    return Status::Ok();
-  }
-  if (key == "memo") {
-    const std::optional<bool> memo = ParseBool(value);
-    if (!memo.has_value()) return BadValue(key, value, "a boolean");
-    config->use_memo = *memo;
-    return Status::Ok();
-  }
-  if (key == "no-memo") {
-    const std::optional<bool> no_memo = ParseBool(value);
-    if (!no_memo.has_value()) return BadValue(key, value, "a boolean");
-    config->use_memo = !*no_memo;
-    return Status::Ok();
-  }
-  if (key == "memo-capacity") {
-    size_t capacity = 0;
-    if (!ParseUint(value, &capacity) || capacity == 0) {
-      return BadValue(key, value, "a positive entry count");
-    }
-    config->memo_capacity = capacity;
     return Status::Ok();
   }
   if (key == "on-error") {
@@ -190,17 +176,8 @@ std::vector<std::pair<std::string, std::string>> FormatRepairConfig(
   if (config.threads != defaults.threads) {
     out.emplace_back("threads", std::to_string(config.threads));
   }
-  if (config.shards != defaults.shards) {
-    out.emplace_back("shards", std::to_string(config.shards));
-  }
   if (!config.rules_dict.empty()) {
     out.emplace_back("rules-dict", config.rules_dict);
-  }
-  if (config.use_memo != defaults.use_memo) {
-    out.emplace_back("memo", "false");
-  }
-  if (config.memo_capacity != defaults.memo_capacity) {
-    out.emplace_back("memo-capacity", std::to_string(config.memo_capacity));
   }
   if (config.on_error != defaults.on_error) {
     out.emplace_back("on-error", OnErrorPolicyName(config.on_error));

@@ -11,14 +11,15 @@
 // One audited key/value parser for RepairConfig, shared by the CLI
 // `repair` verb and the daemon's wire-request config headers, so a knob
 // behaves identically no matter which surface set it (docs/api.md).
-// Keys mirror the CLI flag names (engine, threads, shards, rules-dict,
-// memo, no-memo, memo-capacity, on-error, max-chase-steps, chunk-rows,
-// memory-budget, prune, wal, resume, scoped-metrics).
+// Keys mirror the CLI flag names (engine, threads, rules-dict, on-error,
+// max-chase-steps, chunk-rows, memory-budget, prune, wal, resume,
+// scoped-metrics).
 
 namespace fixrep {
 
 // Parses "64MB" / "512K" / "1G" / plain bytes into a byte count.
-// Returns false on garbage.
+// Returns false on garbage, a leading sign or whitespace, and counts
+// that overflow size_t.
 bool ParseByteSize(const std::string& text, size_t* bytes);
 
 // Applies one key=value setting to `config`. Boolean keys accept an

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -70,34 +69,7 @@ void FastRepairer::BumpCounter(uint32_t rule_index) {
 
 size_t FastRepairer::RepairTuple(TupleSpan t) {
   FIXREP_CHECK_EQ(t.size(), source_.arity());
-  if (memo_ == nullptr) return ChaseTuple(t);
-
-  const uint64_t hash = MemoCache::HashTuple(t);
-  if (const std::vector<MemoCache::Write>* writes = memo_->Find(hash, t)) {
-    // Replay: identical tuple, identical fix. The outcome counters
-    // (tuples/cells/rule applications) advance exactly as a chase would;
-    // the chase-internal ones (counter bumps, Ω traffic) are skipped —
-    // that skipped work is the win.
-    ++stats_.tuples_examined;
-    for (const MemoCache::Write& write : *writes) {
-      if (write_log_ != nullptr) {
-        write_log_->push_back({write_log_row_, write.attr, t[write.attr],
-                               write.value, write.rule});
-      }
-      t[write.attr] = write.value;
-      ++stats_.rule_applications;
-      ++stats_.per_rule_applications[write.rule];
-    }
-    stats_.cells_changed += writes->size();
-    if (!writes->empty()) ++stats_.tuples_changed;
-    return writes->size();
-  }
-
-  Tuple key = t.ToTuple();  // pre-repair signature; the chase mutates t
-  writes_scratch_.clear();
-  const size_t changed = ChaseTuple(t);
-  memo_->Insert(hash, std::move(key), writes_scratch_);
-  return changed;
+  return ChaseTuple(t);
 }
 
 Status FastRepairer::TryRepairTuple(TupleSpan t, size_t* cells_changed) {
@@ -117,7 +89,7 @@ Status FastRepairer::TryRepairTuple(TupleSpan t, size_t* cells_changed) {
     return Status::Ok();
   }
   const Tuple original = t.ToTuple();
-  writes_scratch_.clear();
+  applied_scratch_.clear();
   bool exhausted = false;
   *cells_changed = ChaseTuple(t, max_chase_steps_, &exhausted);
   if (exhausted) {
@@ -150,9 +122,9 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
   if (!have_ranges && max_steps == 0) {
     const SimdKernel kernel = ActiveSimdKernel();
     if (kernel != SimdKernel::kScalar) {
-      // Per-tuple batched init (the memoized path, which must stay
-      // tuple-at-a-time): pack this tuple's non-null evidence-attribute
-      // cells and probe them with one LookupBatch.
+      // Per-tuple batched init (RepairTuple / TryRepairTuple): pack this
+      // tuple's non-null evidence-attribute cells and probe them with one
+      // LookupBatch.
       probe_keys_.clear();
       for (const AttrId a : source_.evidence_attrs()) {
         const ValueId v = t[a];
@@ -293,7 +265,6 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
   }
 
   // Lines 8-16: chase over the candidate set.
-  const bool log_writes = memo_ != nullptr || max_steps > 0;
   AttrSet assured;
   bool dirty = false;
   size_t steps = 0;
@@ -306,9 +277,9 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
     if (max_steps > 0 && ++steps > max_steps) {
       // Budget blown: roll the rule-application stats back (cells/tuple
       // outcomes were never committed); the caller restores the tuple.
-      for (const MemoCache::Write& write : writes_scratch_) {
+      for (const uint32_t rule : applied_scratch_) {
         --stats_.rule_applications;
-        --stats_.per_rule_applications[write.rule];
+        --stats_.per_rule_applications[rule];
       }
       if (write_log_ != nullptr) write_log_->resize(log_mark);
       *exhausted = true;
@@ -343,9 +314,7 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
     ++cells_changed;
     ++stats_.rule_applications;
     ++stats_.per_rule_applications[rule_index];
-    if (log_writes) {
-      writes_scratch_.push_back({target, fact, rule_index});
-    }
+    if (max_steps > 0) applied_scratch_.push_back(rule_index);
     // Propagate the new value through the inverted lists (lines 13-15).
     const PostingRange range = source_.Lookup(target, fact);
     if (range.empty()) continue;
@@ -362,10 +331,8 @@ size_t FastRepairer::ChaseTuple(TupleSpan t, size_t max_steps,
 
 void FastRepairer::RepairRows(Table* table, size_t begin, size_t end) {
   const SimdKernel kernel = ActiveSimdKernel();
-  if (memo_ != nullptr || kernel == SimdKernel::kScalar) {
-    // Memoized rows stay interleaved (Find, chase, Insert in row order)
-    // so intra-group duplicates hit the memo exactly as they always
-    // have; the scalar kernel IS the legacy loop.
+  if (kernel == SimdKernel::kScalar) {
+    // The scalar kernel IS the legacy per-tuple loop.
     for (size_t r = begin; r < end; ++r) {
       write_log_row_ = r;
       RepairTuple(table->WriteRow(r));
@@ -422,7 +389,6 @@ void FastRepairer::RepairTable(Table* table) {
 void FastRepairer::FlushMetrics() {
   stats_.PublishDelta(published_, "lrepair");
   published_ = stats_;
-  if (memo_ != nullptr) memo_->FlushMetrics();
 }
 
 }  // namespace fixrep

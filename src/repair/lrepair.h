@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "relation/table.h"
-#include "repair/memo_cache.h"
 #include "repair/provenance.h"
 #include "repair/repair_stats.h"
 #include "repair/rule_index.h"
@@ -35,18 +34,16 @@ namespace fixrep {
 // Each rule enters Ω at most once and is checked at most once per tuple,
 // which is what yields the linear bound.
 //
-// Optionally a MemoCache (set_memo) short-circuits the chase for
-// byte-identical tuples by replaying the cached write set — bit-identical
-// to re-chasing because the chase is a pure function of the tuple.
+// Tables are repaired through RepairDriver (repair/driver.h), which runs
+// RepairRows / TryRepairTuple over one FastRepairer per slot.
 class FastRepairer {
  public:
   // Compiles a private index for `rules`. The rule set must outlive the
   // repairer and must not be mutated afterwards.
   explicit FastRepairer(const RuleSet* rules);
 
-  // Shares an existing compiled index (the parallel/incremental path:
-  // one index, many cheap per-thread repairers). The index must outlive
-  // the repairer.
+  // Shares an existing compiled index (one index, many cheap per-thread
+  // repairers). The index must outlive the repairer.
   explicit FastRepairer(const CompiledRuleIndex* index);
 
   // Chases against an arbitrary source view (the dictionary-backed
@@ -56,20 +53,14 @@ class FastRepairer {
 
   const RuleSource& source() const { return source_; }
 
-  // Attaches a memo cache (nullptr detaches). Borrowed; the cache is
-  // single-owner, so never share one across concurrently-running
-  // repairers.
-  void set_memo(MemoCache* memo) { memo_ = memo; }
-  MemoCache* memo() const { return memo_; }
-
   // Attaches a rule-attributed write capture (nullptr detaches): every
-  // committed cell write — chase application or memo replay — appends one
-  // CellRepair{row, attr, old, new, rule} to `log`, in write order. The
-  // row recorded is whatever set_write_log_row last saw; RepairRows
-  // maintains it itself, drivers calling RepairTuple/TryRepairTuple
-  // directly set it per call. A chase that fails (budget exhausted,
-  // restored tuple) leaves no entries. Borrowed and single-owner like the
-  // memo: never share one log across concurrently-running repairers.
+  // committed cell write appends one CellRepair{row, attr, old, new,
+  // rule} to `log`, in write order. The row recorded is whatever
+  // set_write_log_row last saw; RepairRows maintains it itself, drivers
+  // calling RepairTuple/TryRepairTuple directly set it per call. A chase
+  // that fails (budget exhausted, restored tuple) leaves no entries.
+  // Borrowed and single-owner: never share one log across
+  // concurrently-running repairers.
   void set_write_log(std::vector<CellRepair>* log) { write_log_ = log; }
   std::vector<CellRepair>* write_log() const { return write_log_; }
   void set_write_log_row(size_t row) { write_log_row_ = row; }
@@ -84,8 +75,7 @@ class FastRepairer {
   // exceeding the step budget (set_max_chase_steps) as kBudgetExhausted.
   // On any error the tuple is restored to its original values and no
   // changes are recorded (tuples_examined and the chase-internal work
-  // counters still record the attempt). This path never consults the
-  // memo cache — isolation over memoization; the repaired output is
+  // counters still record the attempt). The repaired output is
   // bit-identical to RepairTuple's on tuples that succeed.
   Status TryRepairTuple(TupleSpan t, size_t* cells_changed);
 
@@ -96,21 +86,17 @@ class FastRepairer {
   void set_max_chase_steps(size_t max_steps) { max_chase_steps_ = max_steps; }
   size_t max_chase_steps() const { return max_chase_steps_; }
 
-  // Repairs rows [begin, end) of `table` in place — the row-group driver
-  // every engine (serial, pooled parallel, streaming) funnels through.
+  // Repairs rows [begin, end) of `table` in place — the row-group kernel
+  // RepairDriver runs for every abort-mode range.
   //
-  // With a SIMD kernel active and no memo attached, rows are processed
-  // in cache-sized groups: gather the group's non-null cells of the
-  // evidence-mentioned attributes (cells of any other column can never
-  // hit a posting list), probe them with one LookupBatch (vector
-  // hashing plus slot/posting prefetch), then chase each tuple off its
-  // precomputed ranges with the counter bumps running back-to-back on
-  // warm postings. With the scalar kernel this is exactly the legacy
-  // per-tuple loop. With a memo the rows stay per-tuple and interleaved
-  // (Find, chase, Insert in row order) so the memo hit/miss sequence —
-  // and therefore fixrep.memo.* — is byte-for-byte what the scalar path
-  // produces. Repaired output is bit-identical on every path; only the
-  // probe schedule differs.
+  // With a SIMD kernel active, rows are processed in cache-sized
+  // groups: gather the group's non-null cells of the evidence-mentioned
+  // attributes (cells of any other column can never hit a posting list),
+  // probe them with one LookupBatch (vector hashing plus slot/posting
+  // prefetch), then chase each tuple off its precomputed ranges with the
+  // counter bumps running back-to-back on warm postings. With the scalar kernel this is exactly the legacy
+  // per-tuple loop. Repaired output is bit-identical on every path; only
+  // the probe schedule differs.
   void RepairRows(Table* table, size_t begin, size_t end);
 
   // Repairs every row of `table` in place.
@@ -122,11 +108,9 @@ class FastRepairer {
     published_.Reset(source_.num_rules());
   }
 
-  // Publishes stats accumulated since the last flush into the global
-  // MetricsRegistry (fixrep.lrepair.*), plus the attached memo's
-  // fixrep.memo.* deltas. RepairTable flushes automatically; callers
-  // driving RepairTuple directly (incremental sessions, parallel
-  // workers) decide their own flush granularity.
+  // Publishes stats accumulated since the last flush into the current
+  // MetricsRegistry (fixrep.lrepair.*). RepairTable flushes
+  // automatically; RepairDriver flushes its slots when asked.
   void FlushMetrics();
 
   // Seeds the epoch counter so tests can exercise the uint32 wrap-around
@@ -146,10 +130,9 @@ class FastRepairer {
   // form serves the legacy init loops and propagation bumps.
   void BumpCounter(uint32_t rule_index);
 
-  // The non-memoized chase (Fig. 7 proper). A non-zero `max_steps`
-  // bounds Ω pops; on exhaustion sets *exhausted, rolls the
-  // rule-application stats back, and returns 0 (the caller restores the
-  // tuple itself).
+  // The chase (Fig. 7 proper). A non-zero `max_steps` bounds Ω pops; on
+  // exhaustion sets *exhausted, rolls the rule-application stats back,
+  // and returns 0 (the caller restores the tuple itself).
   //
   // `init_ranges` optionally carries the tuple's pre-probed posting
   // ranges — one per non-null evidence-attribute cell, in attribute
@@ -179,7 +162,6 @@ class FastRepairer {
 
   std::unique_ptr<const CompiledRuleIndex> owned_index_;
   RuleSource source_;
-  MemoCache* memo_ = nullptr;
   std::vector<CellRepair>* write_log_ = nullptr;
   size_t write_log_row_ = 0;
   size_t max_chase_steps_ = 0;
@@ -191,7 +173,9 @@ class FastRepairer {
   std::vector<uint32_t> queued_epoch_;   // rule has entered Ω this epoch
   std::vector<uint32_t> checked_epoch_;  // rule was popped and consumed
   std::vector<uint32_t> queue_;          // Ω (id | kRejectedBit when flagged)
-  std::vector<MemoCache::Write> writes_scratch_;  // chase log for the memo
+  // Rules applied by the current budgeted chase, rolled back from the
+  // stats if the budget trips.
+  std::vector<uint32_t> applied_scratch_;
 
   // The prescreen verdict memo: per rule, the last (t[B], verdict) pair
   // packed (value << 1) | is_negative with UINT64_MAX as "empty". The

@@ -7,14 +7,14 @@
 
 #include "relation/schema.h"
 #include "relation/table.h"
-#include "rules/rule_set.h"
 
 namespace fixrep {
 
 // One recorded cell repair: which rule rewrote which cell, from what to
-// what. Collected by RepairWithProvenance so that a curator can audit
-// every change a rule set made — the "dependable" in dependable
-// repairing includes being able to say why each cell changed.
+// what. Captured by the lRepair write log (RepairSession::Repair's
+// `write_log`, the WAL's cell deltas) so that a curator can audit every
+// change a rule set made — the "dependable" in dependable repairing
+// includes being able to say why each cell changed.
 struct CellRepair {
   size_t row = 0;
   AttrId attr = kInvalidAttr;
@@ -37,10 +37,6 @@ struct RepairLog {
   // Repairs grouped per rule (index -> how many cells it fixed).
   std::vector<size_t> PerRuleCounts(size_t num_rules) const;
 };
-
-// Repairs `table` in place with the lRepair engine, recording every cell
-// change. Returns the audit log.
-RepairLog RepairWithProvenance(const RuleSet& rules, Table* table);
 
 }  // namespace fixrep
 

@@ -14,9 +14,9 @@
 namespace fixrep {
 
 // Immutable, cache-friendly compilation of a RuleSet for the lRepair hot
-// path. Built once per rule set and shared read-only by every repair
-// engine (serial, pooled parallel, sharded, incremental) — the per-call,
-// per-worker index rebuild of the old design is gone.
+// path. Built once per rule set and shared read-only by every
+// RepairDriver slot — the per-call, per-worker index rebuild of the old
+// design is gone.
 //
 // Layout:
 // * An open-addressing flat hash (linear probing, power-of-two capacity,

@@ -5,11 +5,10 @@
 #include "common/logging.h"
 #include "common/metric_scope.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "repair/crepair.h"
-#include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "repair/recovery.h"
-#include "repair/sharded.h"
 #include "repair/streaming.h"
 
 namespace fixrep {
@@ -64,18 +63,22 @@ void RepairSession::FlushMetrics() {
 }
 
 Status RepairSession::ValidateForTable() const {
-  if (config_.engine == RepairEngine::kCRepair &&
-      (config_.threads != 1 || config_.shards != 0)) {
+  if (config_.engine == RepairEngine::kCRepair && config_.threads != 1) {
     return Status::MalformedInput(
-        "cRepair is serial-only; set threads=1 and shards=0 or use kLRepair");
+        "cRepair is serial-only; set threads=1 or use kLRepair");
   }
   return Status::Ok();
 }
 
-StatusOr<RepairReport> RepairSession::Repair(Table* table) {
+StatusOr<RepairReport> RepairSession::Repair(
+    Table* table, std::vector<CellRepair>* write_log) {
   FIXREP_CHECK(table != nullptr);
   const Status valid = ValidateForTable();
   if (!valid.ok()) return valid;
+  if (config_.engine == RepairEngine::kCRepair && write_log != nullptr) {
+    return Status::MalformedInput(
+        "write-log capture is lRepair-only; use engine=lrepair");
+  }
 
   // Route every publication below (engines publish from this thread
   // only; pool workers never touch the registry) into the session scope.
@@ -137,43 +140,18 @@ StatusOr<RepairReport> RepairSession::Repair(Table* table) {
     return report;
   }
 
-  if (config_.shards > 0) {
-    // Content-routed engine; handles abort and lenient modes itself.
-    ShardedRepairOptions options;
-    options.shards = config_.shards;
-    options.use_memo = config_.use_memo;
-    options.memo_capacity = config_.memo_capacity;
-    options.on_error = config_.on_error;
-    options.quarantine = config_.quarantine;
-    options.max_chase_steps = config_.max_chase_steps;
-    const ShardedRepairResult result = ShardedRepairTable(*repo, table,
-                                                          options);
-    report.cells_changed = result.stats.cells_changed;
-    report.tuples_quarantined = result.tuples_quarantined;
-    return report;
-  }
-
-  if (config_.on_error == OnErrorPolicy::kAbort) {
-    // Serial widths short-circuit inside ParallelRepairRows to the
-    // carried FastRepairer path, so one call covers both.
-    ParallelRepairOptions options;
-    options.threads = config_.threads;
-    options.use_memo = config_.use_memo;
-    options.memo_capacity = config_.memo_capacity;
-    report.cells_changed =
-        ParallelRepairTable(*repo, table, options).cells_changed;
-    return report;
-  }
-
-  LenientRepairOptions options;
-  options.parallel.threads = config_.threads;
+  RepairDriverOptions options;
+  options.threads = config_.threads;
   options.on_error = config_.on_error;
   options.quarantine = config_.quarantine;
   options.max_chase_steps = config_.max_chase_steps;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(*repo, table, options);
-  report.cells_changed = result.stats.cells_changed;
-  report.tuples_quarantined = result.tuples_quarantined;
+  options.write_log = write_log;
+  RepairDriver driver(*repo, options);
+  FIXREP_TRACE_SPAN("lrepair.chase");
+  const RangeOutcome outcome = driver.RepairRows(table, 0, table->num_rows());
+  driver.FlushMetrics();
+  report.cells_changed = outcome.cells_changed;
+  report.tuples_quarantined = outcome.tuples_quarantined;
   return report;
 }
 
@@ -195,13 +173,10 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
 
   StreamingRepairOptions options;
   options.chunk_rows = config_.chunk_rows;
-  options.repair.parallel.threads = config_.threads;
-  options.repair.parallel.use_memo = config_.use_memo;
-  options.repair.parallel.memo_capacity = config_.memo_capacity;
+  options.repair.threads = config_.threads;
   options.repair.on_error = config_.on_error;
   options.repair.quarantine = config_.quarantine;
   options.repair.max_chase_steps = config_.max_chase_steps;
-  options.shards = config_.shards;
   options.memory_budget_bytes = config_.memory_budget_bytes;
   options.prune_columns = config_.prune_columns;
 

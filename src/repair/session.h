@@ -5,13 +5,14 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/metric_scope.h"
 #include "common/quarantine.h"
 #include "common/status.h"
 #include "relation/csv.h"
 #include "relation/table.h"
-#include "repair/memo_cache.h"
+#include "repair/provenance.h"
 #include "repair/rule_index.h"
 #include "rules/rule_dict.h"
 #include "rules/rule_set.h"
@@ -20,18 +21,13 @@ namespace fixrep {
 
 // The unified repair entry point (docs/api.md).
 //
-// Historically each capability grew its own signature — serial chase
-// (ChaseRepairer::RepairTable), serial/parallel lRepair
-// (FastRepairer::RepairTable, ParallelRepairTable), failure isolation
-// (ParallelRepairTableLenient), and out-of-core streaming
-// (StreamingRepairSession) — five entry points whose knobs overlap but
-// don't compose. RepairSession collapses them behind one RepairConfig:
-// pick an engine, a width, an error policy, and (for streams) the
-// memory knobs, and the session routes to the same engines underneath.
-// Behavior per configuration is bit-identical to calling the engine
-// layer directly; the engine entry points remain public for callers
-// that need one engine's extras (provenance, incremental sessions,
-// custom flush granularity).
+// RepairSession is the one way to repair a table or a stream: pick an
+// engine, a width, an error policy, and (for streams) the memory and
+// durability knobs in one RepairConfig. Every lRepair call builds one
+// RepairDriver (repair/driver.h) — the row-range kernel over the shared
+// rule backend — and runs the whole table, or each streamed chunk and
+// pinned spill block, through it. cRepair (ChaseRepairer) is the serial
+// reference chase, kept for cross-validation.
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
@@ -47,13 +43,8 @@ enum class RepairEngine {
 struct RepairConfig {
   RepairEngine engine = RepairEngine::kLRepair;
   // 1 = serial (the default); 0 = the pool's full width; >1 = that many
-  // workers (ParallelRepairOptions::threads semantics).
+  // workers (RepairDriverOptions::threads semantics).
   size_t threads = 1;
-  // > 0: route table repair (and each streamed chunk) through the
-  // content-routed sharded engine (repair/sharded.h) with this many
-  // shards instead of the position-claiming pooled engine; `threads` is
-  // then ignored. kLRepair only. Output is bit-identical either way.
-  size_t shards = 0;
   // Non-empty: repair against the compiled on-disk rule dictionary
   // (rules/rule_dict.h) at this path instead of an index built from the
   // borrowed RuleSet. The dictionary is opened on the first
@@ -62,10 +53,6 @@ struct RepairConfig {
   // mismatch) surface as that call's Status. Output is byte-identical
   // to an in-RAM run over the same rules.
   std::string rules_dict;
-  // Tuple-signature memoization (abort mode only; lenient repair never
-  // memoizes). Output is bit-identical either way.
-  bool use_memo = true;
-  size_t memo_capacity = MemoCache::kDefaultCapacity;
   // kAbort fails fast; kSkip/kQuarantine restore failing tuples to
   // their original values and keep going.
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
@@ -157,7 +144,11 @@ class RepairSession {
 
   // Repairs `table` in place per the config. Returns kMalformedInput
   // for knob combinations the engine cannot honor (see RepairEngine).
-  StatusOr<RepairReport> Repair(Table* table);
+  // Non-null `write_log` (kLRepair only) receives every committed cell
+  // write: rows ascending, intra-row entries in chase order, failed
+  // tuples contributing none — what `fixrep_cli repair --log` prints.
+  StatusOr<RepairReport> Repair(Table* table,
+                                std::vector<CellRepair>* write_log = nullptr);
 
   // Streams `reader` through chunked repair into `out` (CSV header +
   // repaired rows). kLRepair only.

@@ -13,8 +13,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "relation/row_store.h"
-#include "repair/lrepair.h"
-#include "repair/sharded.h"
 
 namespace fixrep {
 
@@ -107,38 +105,30 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         " does not match rule arity " + std::to_string(repo_->arity()));
   }
   FIXREP_TRACE_SPAN("streaming.run");
-  const size_t threads = options_.repair.parallel.threads;
-  const bool sharded = options_.shards > 0;
-  const bool lenient = options_.repair.on_error != OnErrorPolicy::kAbort;
   const bool quarantining =
       options_.repair.on_error == OnErrorPolicy::kQuarantine &&
       options_.repair.quarantine != nullptr;
   FIXREP_LOG(Debug) << "streaming repair"
                     << Kv("chunk_rows", options_.chunk_rows)
-                    << Kv("threads", threads)
-                    << Kv("shards", options_.shards)
+                    << Kv("threads", options_.repair.threads)
                     << Kv("rules", repo_->num_rules())
                     << Kv("budget_bytes", options_.memory_budget_bytes)
                     << Kv("prune", options_.prune_columns ? 1 : 0);
 
-  // Serial runs carry the repairer (and the memo, in abort mode) across
-  // chunks so chunking is invisible to memoization.
-  const bool serial = threads == 1 && !sharded;
-  const std::unique_ptr<RuleSourceHandle> serial_handle = repo_->MakeHandle();
-  FastRepairer serial_repairer(serial_handle->source());
-  MemoCache serial_memo(options_.repair.parallel.memo_capacity);
-  if (serial && !lenient && options_.repair.parallel.use_memo) {
-    serial_repairer.set_memo(&serial_memo);
-  }
-  serial_repairer.set_max_chase_steps(options_.repair.max_chase_steps);
-
   // Journaling scratch: the chunk's rule-attributed deltas (chunk-local
-  // rows, from the engines' write logs) and its tuple diagnostics, both
+  // rows, from the driver's write log) and its tuple diagnostics, both
   // cleared per chunk and written to the WAL at commit time.
   const bool journaling = options_.journal != nullptr;
   std::vector<CellRepair> chunk_deltas;
   std::vector<Diagnostic> chunk_diags;
-  if (serial && journaling) serial_repairer.set_write_log(&chunk_deltas);
+
+  // One driver for the whole run. Its diagnostics land in range_sink at
+  // chunk-local rows and are rebased onto global output rows below.
+  VectorQuarantineSink range_sink;
+  RepairDriverOptions driver_options = options_.repair;
+  driver_options.quarantine = quarantining ? &range_sink : nullptr;
+  driver_options.write_log = journaling ? &chunk_deltas : nullptr;
+  RepairDriver driver(*repo_, driver_options);
 
   // CSV-level quarantine journaling (WAL version >= 2): a capture sink
   // interposed around each ReadChunk sees exactly the reader
@@ -182,101 +172,21 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
 
-  // Repairs chunk rows [begin, end) in the configured mode, accumulating
-  // totals (and diagnostics at global row indices) into `result`.
-  // `base_row` is the global index of chunk row 0.
-  auto repair_range = [&](size_t begin, size_t end,
-                          size_t base_row) -> Status {
-    if (sharded) {
-      // Content-routed engine: diagnostics come back at chunk-local rows
-      // via a range sink and are rebased like the pooled lenient path.
-      ShardedRepairOptions shard_options;
-      shard_options.shards = options_.shards;
-      shard_options.use_memo = options_.repair.parallel.use_memo;
-      shard_options.memo_capacity = options_.repair.parallel.memo_capacity;
-      shard_options.on_error = options_.repair.on_error;
-      shard_options.max_chase_steps = options_.repair.max_chase_steps;
-      if (journaling) shard_options.write_log = &chunk_deltas;
-      VectorQuarantineSink range_sink;
-      if (lenient && quarantining) shard_options.quarantine = &range_sink;
-      const ShardedRepairResult range_result =
-          ShardedRepairRows(*repo_, &chunk, begin, end, shard_options);
-      progress.AddRows(end - begin);
-      result.cells_changed += range_result.stats.cells_changed;
-      result.tuples_quarantined += range_result.tuples_quarantined;
-      for (const Diagnostic& d : range_sink.diagnostics()) {
-        Diagnostic rebased{base_row + d.line, d.code, d.message,
-                           sidecar == nullptr
-                               ? d.raw_text
-                               : FormatRowWithSidecar(chunk, sidecar, d.line)};
-        options_.repair.quarantine->Add(rebased);
-        if (journaling) chunk_diags.push_back(std::move(rebased));
-      }
-      return Status::Ok();
+  // Repairs chunk rows [begin, end), accumulating totals (and
+  // diagnostics at global row indices) into `result`. `base_row` is the
+  // global index of chunk row 0. Sub-ranges of kProgressStride rows per
+  // participant keep fixrep.progress.rows live inside a large chunk.
+  const size_t stride = kProgressStride * driver.threads();
+  auto repair_range = [&](size_t begin, size_t end, size_t base_row) {
+    for (size_t sub = begin; sub < end; sub += stride) {
+      const size_t sub_end = std::min(end, sub + stride);
+      const RangeOutcome outcome = driver.RepairRows(&chunk, sub, sub_end);
+      result.cells_changed += outcome.cells_changed;
+      result.tuples_quarantined += outcome.tuples_quarantined;
+      progress.AddRows(sub_end - sub);
     }
-    if (serial && !lenient) {
-      // Row-group driver in progress-stride sub-ranges: batched probes
-      // inside, live fixrep.progress.rows updates between.
-      const size_t cells_before = serial_repairer.stats().cells_changed;
-      for (size_t sub = begin; sub < end; sub += kProgressStride) {
-        const size_t sub_end = std::min(end, sub + kProgressStride);
-        serial_repairer.RepairRows(&chunk, sub, sub_end);
-        progress.AddRows(sub_end - sub);
-      }
-      result.cells_changed +=
-          serial_repairer.stats().cells_changed - cells_before;
-      return Status::Ok();
-    }
-    if (serial) {
-      // Serial lenient: isolate each tuple, reporting failures at their
-      // global output-row index so diagnostics match a whole-table run.
-      size_t failed = 0;
-      for (size_t r = begin; r < end; ++r) {
-        size_t changed = 0;
-        serial_repairer.set_write_log_row(r);
-        const Status status =
-            serial_repairer.TryRepairTuple(chunk.WriteRow(r), &changed);
-        progress.AddRows(1);
-        if (status.ok()) {
-          result.cells_changed += changed;
-          continue;
-        }
-        ++failed;
-        if (quarantining) {
-          Diagnostic diagnostic{base_row + r, status.code(), status.message(),
-                                FormatRowWithSidecar(chunk, sidecar, r)};
-          options_.repair.quarantine->Add(diagnostic);
-          if (journaling) chunk_diags.push_back(std::move(diagnostic));
-        }
-      }
-      if (failed > 0) {
-        registry.GetCounter("fixrep.quarantine.tuples")->Add(failed);
-      }
-      result.tuples_quarantined += failed;
-      return Status::Ok();
-    }
-    if (!lenient) {
-      ParallelRepairOptions parallel_options = options_.repair.parallel;
-      if (journaling) parallel_options.write_log = &chunk_deltas;
-      result.cells_changed +=
-          ParallelRepairRows(*repo_, &chunk, begin, end, parallel_options)
-              .cells_changed;
-      progress.AddRows(end - begin);
-      return Status::Ok();
-    }
-    // Parallel lenient: collect per-range diagnostics locally, then
-    // rebase their chunk-local rows onto the global output offset (and,
-    // when pruning, re-render raw text through the sidecar — failed
-    // tuples are restored, so this reproduces the original values).
-    VectorQuarantineSink range_sink;
-    LenientRepairOptions lenient_options = options_.repair;
-    lenient_options.quarantine = quarantining ? &range_sink : nullptr;
-    if (journaling) lenient_options.write_log = &chunk_deltas;
-    const LenientRepairResult range_result = ParallelRepairRowsLenient(
-        *repo_, &chunk, begin, end, lenient_options);
-    progress.AddRows(end - begin);
-    result.cells_changed += range_result.stats.cells_changed;
-    result.tuples_quarantined += range_result.tuples_quarantined;
+    // Failed tuples are restored, so re-rendering through the sidecar
+    // reproduces the original values of pruned columns.
     for (const Diagnostic& d : range_sink.diagnostics()) {
       Diagnostic rebased{
           base_row + d.line, d.code, d.message,
@@ -285,7 +195,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       options_.repair.quarantine->Add(rebased);
       if (journaling) chunk_diags.push_back(std::move(rebased));
     }
-    return Status::Ok();
+    range_sink.Clear();
   };
 
   // Crash recovery: fast-forward over the durable chunks of a previous
@@ -429,31 +339,29 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
     progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
 
-    if (!serial && chunk.store().spilling()) {
-      // Pooled workers must never race a block state transition, so the
-      // parallel engines drive a spilling chunk block-wise: pin a block,
-      // make it writable once, repair exactly its rows, unpin. Worker
-      // row views then live entirely inside an addressable, pinned
-      // block.
+    if (driver.threads() > 1 && chunk.store().spilling()) {
+      // Pooled workers must never race a block state transition, so a
+      // multi-threaded run drives a spilling chunk block-wise: pin a
+      // block, make it writable once, repair exactly its rows, unpin.
+      // Worker row views then live entirely inside an addressable,
+      // pinned block.
       RowStore& store = chunk.store();
       for (size_t b = 0; b < store.num_blocks(); ++b) {
         store.PinBlock(b);
         store.MakeBlockWritable(b);
         const size_t begin = b * RowStore::kRowsPerBlock;
-        const Status status = repair_range(
-            begin, begin + store.rows_in_block(b), result.rows_emitted);
+        repair_range(begin, begin + store.rows_in_block(b),
+                     result.rows_emitted);
         store.UnpinBlock(b);
-        if (!status.ok()) return status;
         // Block-granularity residency so a scrape mid-chunk (one chunk
         // may be the whole input in spill mode) sees live values.
         progress.FlushRows();
         progress.PublishResidency(store);
       }
     } else {
-      const Status status =
-          repair_range(0, chunk.num_rows(), result.rows_emitted);
-      if (!status.ok()) return status;
+      repair_range(0, chunk.num_rows(), result.rows_emitted);
     }
+    driver.FlushMetrics();
 
     // Commit the chunk to the WAL BEFORE emitting its rows: once a row
     // is in the output stream it is covered by a durable chunk, so a
@@ -543,7 +451,6 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     }
   }
 
-  if (serial) serial_repairer.FlushMetrics();
   progress.FlushRows();
   registry.GetCounter("fixrep.streaming.chunks")->Add(result.chunks);
   registry.GetCounter("fixrep.streaming.rows")->Add(result.rows_emitted);

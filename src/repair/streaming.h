@@ -7,8 +7,7 @@
 #include "common/quarantine.h"
 #include "common/status.h"
 #include "relation/csv.h"
-#include "repair/memo_cache.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "repair/recovery.h"
 #include "repair/rule_index.h"
 
@@ -33,15 +32,13 @@ namespace fixrep {
 // to repairing the whole table in memory and writing it out, for every
 // chunk size, engine width, and error policy (streaming_test).
 //
-// Serial runs keep one FastRepairer — and, in abort mode, one MemoCache —
-// alive across all chunks, so memoization works across chunk boundaries
-// exactly as it does across rows of a whole-table run. Parallel runs
-// repair each chunk with the pooled engine over the shared index.
+// One RepairDriver (repair/driver.h) is built per run and reused for
+// every chunk, so its per-slot scratch lives across chunk boundaries.
 //
 // Two out-of-core knobs stack on top of chunking:
 // * memory_budget_bytes > 0 puts the chunk table's RowStore in spill
 //   mode (relation/row_store.h): cell blocks past the resident budget
-//   live in a temp-backed mmap file. Parallel runs then repair
+//   live in a temp-backed mmap file. Multi-threaded runs then repair
 //   block-wise — pin a block, repair exactly its rows, unpin — so
 //   worker views never see a block transition.
 // * prune_columns interns only the attributes some rule mentions
@@ -53,28 +50,16 @@ struct StreamingRepairOptions {
   // Rows per chunk; the peak-memory knob. 64K rows * arity * 4 bytes of
   // cells plus the interned strings.
   size_t chunk_rows = size_t{64} * 1024;
-  // Engine configuration, composed from the batch layer instead of
-  // duplicating its fields:
-  // * repair.parallel.threads: 1 = serial (the default here); 0 or >1 =
-  //   pooled parallel per chunk with ParallelRepairOptions semantics.
-  // * repair.parallel.use_memo/memo_capacity: abort mode only (the
-  //   lenient path never memoizes, matching ParallelRepairTableLenient).
-  // * repair.on_error: unlike the batch lenient path, kAbort is allowed
-  //   and is the streaming default — fail fast on the first bad tuple.
+  // Driver configuration (RepairDriverOptions semantics), except:
+  // * repair.on_error: kAbort fails fast on the first bad tuple and is
+  //   the default; kSkip/kQuarantine isolate per tuple.
   // * repair.quarantine: one Diagnostic per failed *tuple* when
   //   on_error is kQuarantine; Diagnostic::line is the global
   //   output-row index (the same index a whole-table run would report).
   //   Malformed *CSV records* flow through the CsvChunkReader's own
   //   sink instead.
-  // * repair.max_chase_steps: per-tuple chase budget in lenient mode.
-  LenientRepairOptions repair{.parallel = {.threads = 1},
-                              .on_error = OnErrorPolicy::kAbort};
-  // > 0: repair each chunk (or pinned spill block) with the
-  // content-routed sharded engine (repair/sharded.h) over this many
-  // shards instead of the position-claiming pooled engine;
-  // repair.parallel.threads is then ignored. Output is bit-identical
-  // either way.
-  size_t shards = 0;
+  // * repair.write_log: ignored; the chunk journal captures its own.
+  RepairDriverOptions repair;
   // > 0: spill chunk cell blocks past this many resident bytes to a
   // temp-backed file (see class comment). 0 = fully in-memory chunks.
   size_t memory_budget_bytes = 0;

@@ -13,8 +13,8 @@ namespace fixrep {
 
 // The read-side contract of a compiled rule set (docs/rules.md).
 //
-// Every repair engine (lrepair, crepair, parallel, sharded, streaming,
-// incremental) chases tuples against the same flat structures: an
+// Every repair engine (lrepair through RepairDriver, crepair) chases
+// tuples against the same flat structures: an
 // open-addressing hash over packed (attribute, value) keys into
 // CSR-packed inverted lists, per-rule side arrays (|X_phi|, target,
 // fact, assured bitmask), and CSR evidence/negative patterns. RuleSource
@@ -30,8 +30,8 @@ namespace fixrep {
 //    whose pattern values live in the dictionary's own interned string
 //    space. Its view carries a ValueTranslator (live ValueId -> dict
 //    ValueId, memoized per worker) and a PostingCache (direct-mapped
-//    hot-entry cache over resolved posting ranges, the MemoCache
-//    pattern) so duplicate-heavy workloads probe mmap pages once.
+//    hot-entry cache over resolved posting ranges) so duplicate-heavy
+//    workloads probe mmap pages once.
 //
 // Value spaces. Tuple cells hold *live* ValueIds (the run's ValuePool).
 // The spans' pattern values (ev_values, neg_values, slot keys) are in
@@ -102,12 +102,11 @@ class ValueTranslator {
   std::vector<ValueId> memo_;
 };
 
-// Direct-mapped cache of resolved posting ranges (the MemoCache
-// eviction discipline: power-of-two slots, overwrite on collision, full
-// key compare on hit). Caches backend-space packed keys, including
-// empty resolutions — for a demand-paged dictionary a hit skips the
-// slot-table probe entirely, so hot (attr, value) pairs stop touching
-// the mapped file at all.
+// Direct-mapped cache of resolved posting ranges (power-of-two slots,
+// overwrite on collision, full key compare on hit). Caches backend-space
+// packed keys, including empty resolutions — for a demand-paged
+// dictionary a hit skips the slot-table probe entirely, so hot (attr,
+// value) pairs stop touching the mapped file at all.
 class PostingCache {
  public:
   static constexpr size_t kDefaultCapacity = 1u << 14;
@@ -296,8 +295,7 @@ class RuleSource {
   }
 
   // Union of every rule's evidence and target attributes — the attribute
-  // closure the chase can ever read or write (streaming column pruning,
-  // shard routing).
+  // closure the chase can ever read or write (streaming column pruning).
   AttrSet mentioned_attrs() const { return mentioned_attrs_; }
 
   size_t num_rules() const { return num_rules_; }
@@ -421,7 +419,7 @@ class RuleSourceHandle {
 // A compiled rule set viewed as a handle factory. Virtual dispatch
 // happens once per worker (MakeHandle), never per probe. Both backends
 // implement this; engines that need whole-set facts before any worker
-// exists (scratch sizing, shard routing, WAL headers) read them here.
+// exists (scratch sizing, WAL headers) read them here.
 class RuleRepository {
  public:
   virtual ~RuleRepository() = default;

@@ -21,7 +21,7 @@
 #include "relation/csv.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
+#include "repair/driver.h"
 #include "repair/recovery.h"
 #include "rules/rule_io.h"
 
@@ -280,11 +280,12 @@ TEST_F(FaultInjectionTest, SerialLenientRepairQuarantinesExactRows) {
   plan.max_fires = 2;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  LenientRepairOptions options;
-  options.parallel.threads = 1;
+  RepairDriverOptions options;
+  options.threads = 1;
+  options.on_error = OnErrorPolicy::kQuarantine;
   options.quarantine = &sink;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(index, &table, options);
+  RepairDriver driver(index, options);
+  const RangeOutcome result = driver.RepairRows(&table, 0, table.num_rows());
   EXPECT_EQ(result.tuples_quarantined, 2u);
   ASSERT_EQ(sink.size(), 2u);
   // Serial execution visits rows in order, so hits 3 and 4 are rows 2, 3.
@@ -304,11 +305,12 @@ TEST_F(FaultInjectionTest, ParallelLenientRepairSurvivesWorkerFaults) {
   plan.max_fires = 3;
   FaultRegistry::Global().Arm("repair.tuple", plan);
   VectorQuarantineSink sink;
-  LenientRepairOptions options;
-  options.parallel.threads = 4;
+  RepairDriverOptions options;
+  options.threads = 4;
+  options.on_error = OnErrorPolicy::kQuarantine;
   options.quarantine = &sink;
-  const LenientRepairResult result =
-      ParallelRepairTableLenient(index, &table, options);
+  RepairDriver driver(index, options);
+  const RangeOutcome result = driver.RepairRows(&table, 0, table.num_rows());
   // Which rows draw the three fires depends on worker interleaving, but
   // the count is exact and the batch always completes.
   EXPECT_EQ(result.tuples_quarantined, 3u);
@@ -325,7 +327,7 @@ TEST_F(FaultInjectionTest, ParallelLenientRepairSurvivesWorkerFaults) {
     }
     previous_line = d.line;
   }
-  EXPECT_EQ(result.stats.tuples_examined, 256u);
+  EXPECT_EQ(driver.stats().tuples_examined, 256u);
   const Counter* counter =
       MetricsRegistry::Global().FindCounter("fixrep.quarantine.tuples");
   ASSERT_NE(counter, nullptr);

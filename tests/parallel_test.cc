@@ -4,12 +4,22 @@
 #include "datagen/hosp.h"
 #include "datagen/noise.h"
 #include "datagen/travel.h"
+#include "repair/driver.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "rulegen/rulegen.h"
+#include "testing_util.h"
 
 namespace fixrep {
 namespace {
+
+using testing::DriveTable;
+
+// The pooled driver at `threads` width over a private index.
+RepairStats PooledRepair(const RuleSet& rules, Table* table,
+                           size_t threads) {
+  const CompiledRuleIndex index(&rules);
+  return DriveTable(index, table, {.threads = threads}).stats;
+}
 
 TEST(ParallelRepairTest, MatchesSerialOnTravelExample) {
   TravelExample example;
@@ -19,7 +29,7 @@ TEST(ParallelRepairTest, MatchesSerialOnTravelExample) {
   for (const size_t threads : {1u, 2u, 4u, 16u}) {
     Table parallel = example.dirty;
     const RepairStats stats =
-        ParallelRepairTable(example.rules, &parallel, threads);
+        PooledRepair(example.rules, &parallel, threads);
     for (size_t r = 0; r < serial.num_rows(); ++r) {
       EXPECT_EQ(parallel.row(r), serial.row(r)) << "threads " << threads;
     }
@@ -44,7 +54,7 @@ TEST(ParallelRepairTest, MatchesSerialOnGeneratedData) {
   repairer.RepairTable(&serial);
 
   Table parallel = dirty;
-  const RepairStats stats = ParallelRepairTable(rules, &parallel, 4);
+  const RepairStats stats = PooledRepair(rules, &parallel, 4);
   for (size_t r = 0; r < serial.num_rows(); ++r) {
     ASSERT_EQ(parallel.row(r), serial.row(r)) << "row " << r;
   }
@@ -57,7 +67,7 @@ TEST(ParallelRepairTest, MatchesSerialOnGeneratedData) {
 TEST(ParallelRepairTest, MoreThreadsThanRows) {
   TravelExample example;
   Table table = example.dirty;
-  const RepairStats stats = ParallelRepairTable(example.rules, &table, 64);
+  const RepairStats stats = PooledRepair(example.rules, &table, 64);
   EXPECT_EQ(stats.tuples_examined, 4u);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     EXPECT_EQ(table.row(r), example.clean.row(r));
@@ -65,8 +75,8 @@ TEST(ParallelRepairTest, MoreThreadsThanRows) {
 }
 
 TEST(ParallelRepairTest, RegistryCountsMatchSerialBaseline) {
-  // Metrics published by the sharded parallel run (worker stats merged
-  // after the join) must agree with a single-threaded FastRepairer run.
+  // Metrics published by the pooled run (every slot flushes its own
+  // delta) must agree with a single-threaded FastRepairer run.
   if (!kMetricsEnabled) {
     GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
   }
@@ -89,7 +99,7 @@ TEST(ParallelRepairTest, RegistryCountsMatchSerialBaseline) {
   auto& registry = MetricsRegistry::Global();
   registry.ResetAllForTest();
   Table parallel = dirty;
-  ParallelRepairTable(rules, &parallel, 4);
+  PooledRepair(rules, &parallel, 4);
 
   const auto counter = [&](const char* name) {
     const Counter* c =
@@ -112,9 +122,9 @@ TEST(ParallelRepairTest, RegistryCountsMatchSerialBaseline) {
   }
 }
 
-TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
-  // Every engine configuration — shared index, pooled workers, memo on
-  // or off — must be bit-identical to the plain serial chase.
+TEST(ParallelRepairTest, PooledConfigsMatchSerial) {
+  // Every driver width over one shared index must be bit-identical to
+  // the plain serial chase.
   HospOptions options;
   options.rows = 6000;
   options.num_hospitals = 250;
@@ -131,30 +141,24 @@ TEST(ParallelRepairTest, PooledAndMemoizedConfigsMatchSerial) {
   repairer.RepairTable(&serial);
 
   const CompiledRuleIndex index(&rules);
-  for (const bool use_memo : {false, true}) {
-    for (const size_t threads : {2u, 4u, 16u}) {
-      Table parallel = dirty;
-      ParallelRepairOptions parallel_options;
-      parallel_options.threads = threads;
-      parallel_options.use_memo = use_memo;
-      const RepairStats stats =
-          ParallelRepairTable(index, &parallel, parallel_options);
-      for (size_t r = 0; r < serial.num_rows(); ++r) {
-        ASSERT_EQ(parallel.row(r), serial.row(r))
-            << "row " << r << " threads " << threads << " memo "
-            << use_memo;
-      }
-      EXPECT_EQ(stats.tuples_examined, repairer.stats().tuples_examined);
-      EXPECT_EQ(stats.cells_changed, repairer.stats().cells_changed);
-      EXPECT_EQ(stats.per_rule_applications,
-                repairer.stats().per_rule_applications);
+  for (const size_t threads : {2u, 4u, 16u}) {
+    Table parallel = dirty;
+    const RepairStats stats =
+        DriveTable(index, &parallel, {.threads = threads}).stats;
+    for (size_t r = 0; r < serial.num_rows(); ++r) {
+      ASSERT_EQ(parallel.row(r), serial.row(r))
+          << "row " << r << " threads " << threads;
     }
+    EXPECT_EQ(stats.tuples_examined, repairer.stats().tuples_examined);
+    EXPECT_EQ(stats.cells_changed, repairer.stats().cells_changed);
+    EXPECT_EQ(stats.per_rule_applications,
+              repairer.stats().per_rule_applications);
   }
 }
 
 TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   // Regression guard for the old design, which rebuilt the inverted
-  // index once per worker per ParallelRepairTable call: with a shared
+  // index once per worker per parallel repair call: with a shared
   // CompiledRuleIndex, fixrep.lrepair.index_builds ticks exactly once
   // per rule set no matter how many workers or repair calls follow.
   if (!kMetricsEnabled) {
@@ -167,9 +171,7 @@ TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
   const CompiledRuleIndex index(&example.rules);
   for (int call = 0; call < 3; ++call) {
     Table table = example.dirty;
-    ParallelRepairOptions options;
-    options.threads = 4;
-    ParallelRepairTable(index, &table, options);
+    DriveTable(index, &table, {.threads = 4});
   }
   EXPECT_EQ(registry.GetCounter("fixrep.lrepair.index_builds")->Value(),
             before + 1);
@@ -178,7 +180,7 @@ TEST(ParallelRepairTest, IndexBuiltOncePerRuleSetNotPerWorkerOrCall) {
 TEST(ParallelRepairTest, EmptyTable) {
   TravelExample example;
   Table empty(example.schema, example.pool);
-  const RepairStats stats = ParallelRepairTable(example.rules, &empty, 4);
+  const RepairStats stats = PooledRepair(example.rules, &empty, 4);
   EXPECT_EQ(stats.tuples_examined, 0u);
   EXPECT_EQ(stats.cells_changed, 0u);
 }
@@ -186,7 +188,7 @@ TEST(ParallelRepairTest, EmptyTable) {
 TEST(ParallelRepairTest, DefaultThreadCount) {
   TravelExample example;
   Table table = example.dirty;
-  ParallelRepairTable(example.rules, &table);  // threads = 0 -> hardware
+  PooledRepair(example.rules, &table, 0);  // threads = 0 -> hardware
   for (size_t r = 0; r < table.num_rows(); ++r) {
     EXPECT_EQ(table.row(r), example.clean.row(r));
   }

@@ -17,7 +17,6 @@
 #include "relation/csv.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "rules/rule_io.h"
 #include "testing_util.h"
 
@@ -424,13 +423,14 @@ TEST_F(RepairQuarantineTest, LenientRepairQuarantinesPathologicalTuples) {
     Table table = MakeTable(rows);
     const CompiledRuleIndex index(&rules_);
     VectorQuarantineSink sink;
-    LenientRepairOptions options;
-    options.parallel.threads = threads;
+    RepairDriverOptions options;
+    options.threads = threads;
+    options.on_error = OnErrorPolicy::kQuarantine;
     options.quarantine = &sink;
     options.max_chase_steps = 1;
-    const LenientRepairResult result =
-        ParallelRepairTableLenient(index, &table, options);
-    EXPECT_EQ(result.tuples_quarantined, 2u) << threads;
+    const testing::DriveResult result =
+        testing::DriveTable(index, &table, options);
+    EXPECT_EQ(result.outcome.tuples_quarantined, 2u) << threads;
     ASSERT_EQ(sink.size(), 2u);
     EXPECT_EQ(sink.diagnostics()[0].line, 1u);
     EXPECT_EQ(sink.diagnostics()[1].line, 3u);
@@ -473,28 +473,26 @@ TEST_F(QuarantineTest, LenientRepairCleanInputsBitIdenticalToStrict) {
     FastRepairer strict(&rules);
     strict.RepairTable(&strict_serial);
 
-    Table strict_parallel = table;
-    ParallelRepairTable(rules, &strict_parallel, /*threads=*/4);
-
     const CompiledRuleIndex index(&rules);
+    Table strict_parallel = table;
+    testing::DriveTable(index, &strict_parallel, {.threads = 4});
+
     Table lenient_serial = table;
     VectorQuarantineSink serial_sink;
-    LenientRepairOptions serial_options;
-    serial_options.parallel.threads = 1;
-    serial_options.quarantine = &serial_sink;
-    const LenientRepairResult serial_result =
-        ParallelRepairTableLenient(index, &lenient_serial, serial_options);
+    const testing::DriveResult serial_result = testing::DriveTable(
+        index, &lenient_serial,
+        {.threads = 1, .on_error = OnErrorPolicy::kQuarantine,
+         .quarantine = &serial_sink});
 
     Table lenient_parallel = table;
     VectorQuarantineSink parallel_sink;
-    LenientRepairOptions parallel_options;
-    parallel_options.parallel.threads = 4;
-    parallel_options.quarantine = &parallel_sink;
-    const LenientRepairResult parallel_result = ParallelRepairTableLenient(
-        index, &lenient_parallel, parallel_options);
+    const testing::DriveResult parallel_result = testing::DriveTable(
+        index, &lenient_parallel,
+        {.threads = 4, .on_error = OnErrorPolicy::kQuarantine,
+         .quarantine = &parallel_sink});
 
-    EXPECT_EQ(serial_result.tuples_quarantined, 0u);
-    EXPECT_EQ(parallel_result.tuples_quarantined, 0u);
+    EXPECT_EQ(serial_result.outcome.tuples_quarantined, 0u);
+    EXPECT_EQ(parallel_result.outcome.tuples_quarantined, 0u);
     EXPECT_TRUE(serial_sink.empty());
     EXPECT_TRUE(parallel_sink.empty());
     for (size_t r = 0; r < num_rows; ++r) {

@@ -35,10 +35,7 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
                       const std::string& context) {
   EXPECT_EQ(got.engine, want.engine) << context;
   EXPECT_EQ(got.threads, want.threads) << context;
-  EXPECT_EQ(got.shards, want.shards) << context;
   EXPECT_EQ(got.rules_dict, want.rules_dict) << context;
-  EXPECT_EQ(got.use_memo, want.use_memo) << context;
-  EXPECT_EQ(got.memo_capacity, want.memo_capacity) << context;
   EXPECT_EQ(got.on_error, want.on_error) << context;
   EXPECT_EQ(got.max_chase_steps, want.max_chase_steps) << context;
   EXPECT_EQ(got.chunk_rows, want.chunk_rows) << context;
@@ -52,10 +49,7 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
 TEST(RepairConfigTest, EveryKeyParses) {
   const RepairConfig config = Parsed({{"engine", "crepair"},
                                       {"threads", "4"},
-                                      {"shards", "3"},
                                       {"rules-dict", "/tmp/d.frd"},
-                                      {"memo", "false"},
-                                      {"memo-capacity", "123"},
                                       {"on-error", "quarantine"},
                                       {"max-chase-steps", "9"},
                                       {"chunk-rows", "77"},
@@ -66,10 +60,7 @@ TEST(RepairConfigTest, EveryKeyParses) {
                                       {"scoped-metrics", "1"}});
   EXPECT_EQ(config.engine, RepairEngine::kCRepair);
   EXPECT_EQ(config.threads, 4u);
-  EXPECT_EQ(config.shards, 3u);
   EXPECT_EQ(config.rules_dict, "/tmp/d.frd");
-  EXPECT_FALSE(config.use_memo);
-  EXPECT_EQ(config.memo_capacity, 123u);
   EXPECT_EQ(config.on_error, OnErrorPolicy::kQuarantine);
   EXPECT_EQ(config.max_chase_steps, 9u);
   EXPECT_EQ(config.chunk_rows, 77u);
@@ -80,11 +71,16 @@ TEST(RepairConfigTest, EveryKeyParses) {
   EXPECT_TRUE(config.scoped_metrics);
 }
 
-TEST(RepairConfigTest, NoMemoIsTheFlagSpellingOfMemoFalse) {
-  EXPECT_FALSE(Parsed({{"no-memo", ""}}).use_memo);
-  EXPECT_FALSE(Parsed({{"no-memo", "true"}}).use_memo);
-  EXPECT_TRUE(Parsed({{"no-memo", "false"}}).use_memo);
-  EXPECT_TRUE(Parsed({{"memo", "on"}}).use_memo);
+TEST(RepairConfigTest, RemovedMemoAndShardKeysAreUnknown) {
+  for (const char* key : {"shards", "memo", "no-memo", "memo-capacity"}) {
+    for (const char* value : {"", "true", "4"}) {
+      RepairConfig config;
+      const Status status = ParseRepairConfig(key, value, &config);
+      EXPECT_EQ(status.code(), StatusCode::kMalformedInput) << key;
+      EXPECT_NE(status.message().find(key), std::string::npos) << status;
+      ExpectSameConfig(config, RepairConfig{}, key);
+    }
+  }
 }
 
 TEST(RepairConfigTest, WholeFileChunkRows) {
@@ -102,14 +98,20 @@ TEST(RepairConfigTest, UnknownKeyIsInvalidArgument) {
 TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"engine", "turbo"},       {"threads", ""},
-      {"threads", "4x"},         {"shards", "-1"},
-      {"rules-dict", ""},        {"memo", "maybe"},
-      {"memo-capacity", "0"},    {"on-error", "explode"},
-      {"max-chase-steps", "ten"}, {"chunk-rows", "0"},
-      {"chunk-rows", "half"},    {"memory-budget", "lots"},
-      {"memory-budget", "0"},    {"prune", "2"},
-      {"wal", ""},               {"resume", "nah"},
-      {"scoped-metrics", "si"}};
+      {"threads", "4x"},         {"threads", "-1"},
+      {"threads", " 4"},         {"threads", "+4"},
+      {"threads", "18446744073709551616"},
+      {"rules-dict", ""},        {"on-error", "explode"},
+      {"max-chase-steps", "ten"},
+      {"max-chase-steps", "18446744073709551616"},
+      {"max-chase-steps", "99999999999999999999999"},
+      {"chunk-rows", "0"},       {"chunk-rows", "half"},
+      {"chunk-rows", "-5"},      {"memory-budget", "lots"},
+      {"memory-budget", "0"},    {"memory-budget", "-1"},
+      {"memory-budget", "+64MB"}, {"memory-budget", " 64MB"},
+      {"memory-budget", "99999999999G"},
+      {"prune", "2"},            {"wal", ""},
+      {"resume", "nah"},         {"scoped-metrics", "si"}};
   for (const auto& [key, value] : bad) {
     RepairConfig config;
     const Status status = ParseRepairConfig(key, value, &config);
@@ -132,6 +134,20 @@ TEST(RepairConfigTest, ByteSizesParseWithSuffixes) {
   EXPECT_FALSE(ParseByteSize("", &bytes));
   EXPECT_FALSE(ParseByteSize("MB", &bytes));
   EXPECT_FALSE(ParseByteSize("12Q", &bytes));
+  EXPECT_TRUE(ParseByteSize("18446744073709551615", &bytes));
+  EXPECT_EQ(bytes, SIZE_MAX);
+  EXPECT_TRUE(ParseByteSize("17179869183G", &bytes));
+  EXPECT_EQ(bytes, SIZE_MAX - ((size_t{1} << 30) - 1));
+  // A sign, leading whitespace, or a count past SIZE_MAX (before or after
+  // the suffix scale) is refused and leaves the output untouched.
+  bytes = 7;
+  for (const char* text :
+       {"-1", "+1", " 1", "\t64MB", "-64MB", "18446744073709551616",
+        "99999999999999999999999", "99999999999G", "17179869184G",
+        "18014398509481984M", "18014398509481984K"}) {
+    EXPECT_FALSE(ParseByteSize(text, &bytes)) << text;
+    EXPECT_EQ(bytes, 7u) << text;
+  }
 }
 
 TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
@@ -139,8 +155,8 @@ TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
                           "prune", "wal", "resume", "scoped-metrics"}) {
     EXPECT_TRUE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
-  for (const char* key : {"engine", "threads", "shards", "memo", "no-memo",
-                          "memo-capacity", "on-error", "max-chase-steps"}) {
+  for (const char* key : {"engine", "threads", "on-error",
+                          "max-chase-steps"}) {
     EXPECT_FALSE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
 }
@@ -155,10 +171,7 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
     config.engine =
         pick(2) == 0 ? RepairEngine::kLRepair : RepairEngine::kCRepair;
     config.threads = pick(9);
-    config.shards = pick(5);
     if (pick(3) == 0) config.rules_dict = "/tmp/dict.frd";
-    config.use_memo = pick(2) == 0;
-    config.memo_capacity = 1 + pick(1 << 16);
     config.on_error = std::vector<OnErrorPolicy>{
         OnErrorPolicy::kAbort, OnErrorPolicy::kSkip,
         OnErrorPolicy::kQuarantine}[pick(3)];

@@ -6,6 +6,8 @@
 
 #include "rules/rule_dict.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +25,6 @@
 #include "repair/session.h"
 #include "repair/crepair.h"
 #include "repair/lrepair.h"
-#include "repair/memo_cache.h"
 #include "rules/fingerprint.h"
 #include "rules/rule_set.h"
 #include "testing_util.h"
@@ -33,8 +34,11 @@ namespace {
 
 using ::fixrep::testing::RandomRuleUniverse;
 
+// CTest runs each case in its own process, concurrently: the pid keeps
+// one case's files from being rewritten under another.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "fixrep_ruledict_" + name;
+  return ::testing::TempDir() + "fixrep_ruledict_" +
+         std::to_string(getpid()) + "_" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -145,8 +149,8 @@ TEST(RuleDictRepair, MatchesInMemoryIndexOnSmallCorpus) {
 // The property half of the byte-identity acceptance bar: random rule
 // sets and random tuples (including values no rule mentions and values
 // interned after compilation), chased through the in-RAM index and the
-// dictionary, must agree cell for cell — under both engines, with and
-// without a memo.
+// dictionary, must agree cell for cell — under both engines, through
+// the row-group kernel and tuple by tuple.
 TEST(RuleDictRepair, PropertyByteIdenticalToInMemoryIndex) {
   Rng rng(20260808);
   for (int trial = 0; trial < 20; ++trial) {
@@ -202,14 +206,12 @@ TEST(RuleDictRepair, PropertyByteIdenticalToInMemoryIndex) {
       Table expected = base;
       Table actual = base;
       FastRepairer reference(&rules);
-      MemoCache reference_memo(1024);
-      reference.set_memo(&reference_memo);
       FastRepairer via_dict(handle->source());
-      MemoCache dict_memo(1024);
-      via_dict.set_memo(&dict_memo);
-      reference.RepairTable(&expected);
-      via_dict.RepairTable(&actual);
-      EXPECT_TRUE(actual.RowsEqual(expected)) << "memo trial " << trial;
+      for (size_t r = 0; r < base.num_rows(); ++r) {
+        reference.RepairTuple(expected.WriteRow(r));
+        via_dict.RepairTuple(actual.WriteRow(r));
+      }
+      EXPECT_TRUE(actual.RowsEqual(expected)) << "per-tuple trial " << trial;
     }
   }
 }

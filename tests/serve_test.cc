@@ -48,8 +48,11 @@
 namespace fixrep::serve {
 namespace {
 
+// CTest runs each case in its own process, concurrently: the pid keeps
+// one case's files from being rewritten under another.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "fixrep_serve_" + name;
+  return ::testing::TempDir() + "fixrep_serve_" + std::to_string(getpid()) +
+         "_" + name;
 }
 
 std::string ToCsv(const Table& table) {
@@ -492,7 +495,7 @@ TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
        std::vector<std::vector<std::pair<std::string, std::string>>>{
            {{"engine", "crepair"}},
            {{"threads", "4"}},
-           {{"threads", "2"}, {"no-memo", "true"}}}) {
+           {{"threads", "2"}}}) {
     RepairConfig direct_config;
     for (const auto& [key, value] : config) {
       ASSERT_TRUE(ParseRepairConfig(key, value, &direct_config).ok());
@@ -504,6 +507,16 @@ TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->csv, direct.csv);
     EXPECT_EQ(result->csv, travel.expected);  // engines agree byte-for-byte
+  }
+  // The memo and shard knobs are gone: their headers are unknown keys,
+  // refused by name.
+  for (const char* key : {"no-memo", "memo", "memo-capacity", "shards"}) {
+    StatusOr<RepairResult> removed = client->Submit(
+        travel.name, {{"threads", "2"}, {key, "true"}}, travel.csv);
+    ASSERT_FALSE(removed.ok()) << key;
+    EXPECT_EQ(removed.status().code(), StatusCode::kMalformedInput) << key;
+    EXPECT_NE(removed.status().message().find(key), std::string::npos)
+        << removed.status();
   }
 }
 

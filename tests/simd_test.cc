@@ -22,7 +22,6 @@
 #include "datagen/uis.h"
 #include "relation/csv.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/rule_index.h"
 #include "repair/streaming.h"
 #include "rulegen/rulegen.h"
@@ -201,22 +200,21 @@ EngineRun RunSerial(const Table& dirty, const RuleSet& rules) {
   return {TableCsv(copy), ChaseSignature(repairer.stats())};
 }
 
-EngineRun RunSerialMemo(const Table& dirty, const RuleSet& rules) {
+// Tuple at a time: the per-tuple batched init instead of row groups.
+EngineRun RunPerTuple(const Table& dirty, const RuleSet& rules) {
   Table copy = dirty;
   FastRepairer repairer(&rules);
-  MemoCache memo;
-  repairer.set_memo(&memo);
-  repairer.RepairTable(&copy);
+  for (size_t r = 0; r < copy.num_rows(); ++r) {
+    repairer.RepairTuple(copy.WriteRow(r));
+  }
   return {TableCsv(copy), ChaseSignature(repairer.stats())};
 }
 
 EngineRun RunPooled(const Table& dirty, const RuleSet& rules) {
   Table copy = dirty;
   const CompiledRuleIndex index(&rules);
-  ParallelRepairOptions options;
-  options.threads = 3;
-  options.use_memo = false;
-  const RepairStats stats = ParallelRepairTable(index, &copy, options);
+  const RepairStats stats =
+      testing::DriveTable(index, &copy, {.threads = 3}).stats;
   return {TableCsv(copy), ChaseSignature(stats)};
 }
 
@@ -276,7 +274,7 @@ void ExpectKernelIndependent(const Table& dirty, const RuleSet& rules,
     const char* name;
     EngineFn run;
   } engines[] = {
-      {"serial", RunSerial},           {"serial_memo", RunSerialMemo},
+      {"serial", RunSerial},           {"per_tuple", RunPerTuple},
       {"pooled", RunPooled},           {"lenient_budget", RunLenientBudget},
       {"stream", RunStreamChunked},    {"stream_budget", RunStreamBudget},
   };

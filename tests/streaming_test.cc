@@ -22,7 +22,6 @@
 #include "relation/row_store.h"
 #include "relation/table.h"
 #include "repair/lrepair.h"
-#include "repair/parallel.h"
 #include "repair/rule_index.h"
 #include "repair/streaming.h"
 #include "rulegen/rulegen.h"
@@ -79,7 +78,7 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
 
   StreamingRepairOptions options;
   options.chunk_rows = config.chunk_rows;
-  options.repair.parallel.threads = config.threads;
+  options.repair.threads = config.threads;
   options.repair.on_error = config.on_error;
   if (config.on_error == OnErrorPolicy::kQuarantine) {
     options.repair.quarantine = &tuple_sink;
@@ -158,8 +157,8 @@ TEST_F(StreamingTest, ArityMismatchWithRulesIsMalformedInput) {
 // ------------------------------------------------------- random universe --
 
 // Property: for random rule sets and random tables, chunked streaming at
-// every chunk size — serial or pooled, memoized or not — emits exactly
-// the bytes a whole-table serial repair would write.
+// every chunk size — serial or pooled — emits exactly the bytes a
+// whole-table serial repair would write.
 TEST_F(StreamingTest, ChunkedRepairBitIdenticalToWholeTableSerial) {
   testing::RandomRuleUniverse universe;
   Rng rng(20260806);
@@ -309,13 +308,11 @@ TEST_F(StreamingQuarantineTest, DiagnosticsMatchWholeTableLenientRepair) {
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  const LenientRepairResult reference_result =
-      ParallelRepairTableLenient(index, &reference, reference_options);
-  ASSERT_EQ(reference_result.tuples_quarantined, 3u);
+  const testing::DriveResult reference_result = testing::DriveTable(
+      index, &reference,
+      {.on_error = OnErrorPolicy::kQuarantine, .quarantine = &reference_sink,
+       .max_chase_steps = 1});
+  ASSERT_EQ(reference_result.outcome.tuples_quarantined, 3u);
   const std::string want = ToCsv(reference);
 
   for (const size_t chunk_rows :
@@ -381,11 +378,10 @@ TEST_F(StreamingQuarantineTest, MalformedRecordsKeepGlobalOrdinals) {
   ASSERT_EQ(reference->num_rows(), 3u);
   const CompiledRuleIndex index(&rules_);
   VectorQuarantineSink reference_tuples;
-  LenientRepairOptions repair_options;
-  repair_options.parallel.threads = 1;
-  repair_options.quarantine = &reference_tuples;
-  repair_options.max_chase_steps = 1;
-  ParallelRepairTableLenient(index, &reference.value(), repair_options);
+  testing::DriveTable(
+      index, &reference.value(),
+      {.on_error = OnErrorPolicy::kQuarantine, .quarantine = &reference_tuples,
+       .max_chase_steps = 1});
   const std::string want = ToCsv(reference.value());
 
   for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{10}}) {
@@ -544,13 +540,11 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
 
   Table reference = table;
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  const LenientRepairResult reference_result =
-      ParallelRepairTableLenient(index, &reference, reference_options);
-  ASSERT_GT(reference_result.tuples_quarantined, 0u);
+  const testing::DriveResult reference_result = testing::DriveTable(
+      index, &reference,
+      {.on_error = OnErrorPolicy::kQuarantine, .quarantine = &reference_sink,
+       .max_chase_steps = 1});
+  ASSERT_GT(reference_result.outcome.tuples_quarantined, 0u);
   const std::string want = ToCsv(reference);
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
@@ -565,7 +559,7 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
     ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
     ASSERT_EQ(run->csv, want) << context;
     EXPECT_EQ(run->result.tuples_quarantined,
-              reference_result.tuples_quarantined)
+              reference_result.outcome.tuples_quarantined)
         << context;
     ExpectSameDiagnostics(run->tuple_diagnostics,
                           reference_sink.diagnostics(), context);
@@ -628,11 +622,10 @@ TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
 
   Table reference = MakeTable();
   VectorQuarantineSink reference_sink;
-  LenientRepairOptions reference_options;
-  reference_options.parallel.threads = 1;
-  reference_options.quarantine = &reference_sink;
-  reference_options.max_chase_steps = 1;
-  ParallelRepairTableLenient(index, &reference, reference_options);
+  testing::DriveTable(
+      index, &reference,
+      {.on_error = OnErrorPolicy::kQuarantine, .quarantine = &reference_sink,
+       .max_chase_steps = 1});
   ASSERT_EQ(reference_sink.size(), 1u);  // the cascade row
   const std::string want = ToCsv(reference);
 

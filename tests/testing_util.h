@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "relation/schema.h"
 #include "relation/value_pool.h"
+#include "repair/driver.h"
 #include "rules/fixing_rule.h"
 #include "rules/rule_set.h"
 
@@ -169,6 +170,23 @@ class JsonChecker {
   const std::string& text_;
   size_t pos_ = 0;
 };
+
+// One RepairDriver pass over every row of a table: the range outcome plus
+// the driver's merged stats, with fixrep.lrepair.* published.
+struct DriveResult {
+  RangeOutcome outcome;
+  RepairStats stats;
+};
+
+inline DriveResult DriveTable(const RuleRepository& repo, Table* table,
+                              const RepairDriverOptions& options = {}) {
+  RepairDriver driver(repo, options);
+  DriveResult result;
+  result.outcome = driver.RepairRows(table, 0, table->num_rows());
+  driver.FlushMetrics();
+  result.stats = driver.stats();
+  return result;
+}
 
 }  // namespace fixrep::testing
 
