@@ -30,6 +30,23 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+bool CsvFieldNeedsQuotes(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
+}
+
+void AppendCsvField(std::string* out, std::string_view field) {
+  if (!CsvFieldNeedsQuotes(field)) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (const char ch : field) {
+    if (ch == '"') out->push_back('"');
+    out->push_back(ch);
+  }
+  out->push_back('"');
+}
+
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();

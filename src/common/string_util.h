@@ -22,6 +22,14 @@ std::string_view Trim(std::string_view s);
 // ASCII lower-casing.
 std::string ToLower(std::string_view s);
 
+// True when `field` must be quoted as a CSV field: it holds a comma, a
+// quote, or a line break.
+bool CsvFieldNeedsQuotes(std::string_view field);
+
+// Appends `field` to *out as one CSV field: verbatim, or '"'-quoted with
+// embedded quotes doubled when CsvFieldNeedsQuotes(field).
+void AppendCsvField(std::string* out, std::string_view field);
+
 // True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

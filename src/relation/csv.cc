@@ -1,5 +1,6 @@
 #include "relation/csv.h"
 
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -15,118 +16,195 @@
 #include "common/logging.h"
 #include "common/metric_scope.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 
 namespace fixrep {
 
 namespace {
 
-// Parses one CSV record (handling quoted fields that may span lines).
-// Returns false on EOF with no data consumed. When `raw` is non-null the
-// record's text is appended verbatim (terminator stripped) for
-// quarantine diagnostics. `*unterminated` reports a quoted field still
-// open when the input ended.
-bool ReadRecord(std::istream& in, std::vector<std::string>* fields,
-                std::string* raw, bool* unterminated) {
-  fields->clear();
-  if (raw != nullptr) raw->clear();
-  *unterminated = false;
-  std::string field;
-  bool in_quotes = false;
-  bool saw_any = false;
-  int c;
-  while ((c = in.get()) != EOF) {
-    saw_any = true;
-    const char ch = static_cast<char>(c);
-    if (raw != nullptr && ch != '\n' && ch != '\r') raw->push_back(ch);
-    if (in_quotes) {
-      if (raw != nullptr && (ch == '\n' || ch == '\r')) raw->push_back(ch);
-      if (ch == '"') {
-        if (in.peek() == '"') {
-          in.get();
-          field.push_back('"');
-          if (raw != nullptr) raw->push_back('"');
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(ch);
-      }
-      continue;
-    }
-    switch (ch) {
-      case '"':
-        in_quotes = true;
-        break;
-      case ',':
-        fields->push_back(std::move(field));
-        field.clear();
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        fields->push_back(std::move(field));
-        return true;
-      default:
-        field.push_back(ch);
-        break;
-    }
-  }
-  if (!saw_any) return false;
-  *unterminated = in_quotes;
-  fields->push_back(std::move(field));
-  return true;
-}
-
-void WriteField(const std::string& field, std::ostream& out) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) {
-    out << field;
-    return;
-  }
-  out << '"';
-  for (const char ch : field) {
-    if (ch == '"') out << '"';
-    out << ch;
-  }
-  out << '"';
-}
+// Read-ahead block of a stream source, and the size at which the writer
+// hands its buffer to the stream.
+constexpr size_t kBlockBytes = size_t{1} << 20;
 
 }  // namespace
 
-CsvChunkReader::CsvChunkReader(std::istream* in,
-                               std::shared_ptr<const Schema> schema,
+CsvChunkReader::CsvChunkReader(std::istream* in, std::string_view input,
                                std::shared_ptr<ValuePool> pool,
                                const CsvReadOptions& options)
     : in_(in),
-      schema_(std::move(schema)),
+      input_(input),
       pool_(std::move(pool)),
-      options_(options) {}
+      options_(options) {
+  if (in_ == nullptr) {
+    end_ = input_.size();
+    source_done_ = true;
+  } else {
+    const std::streamoff pos = in_->tellg();
+    start_offset_ = pos < 0 ? -1 : static_cast<int64_t>(pos);
+  }
+}
 
 StatusOr<CsvChunkReader> CsvChunkReader::Open(std::istream& in,
                                               const std::string& relation_name,
                                               std::shared_ptr<ValuePool> pool,
                                               const CsvReadOptions& options) {
-  std::vector<std::string> fields;
+  return ReadHeader(CsvChunkReader(&in, {}, std::move(pool), options),
+                    relation_name);
+}
+
+StatusOr<CsvChunkReader> CsvChunkReader::Open(std::string_view csv,
+                                              const std::string& relation_name,
+                                              std::shared_ptr<ValuePool> pool,
+                                              const CsvReadOptions& options) {
+  return ReadHeader(CsvChunkReader(nullptr, csv, std::move(pool), options),
+                    relation_name);
+}
+
+StatusOr<CsvChunkReader> CsvChunkReader::ReadHeader(CsvChunkReader reader,
+                                                    const std::string& name) {
   bool unterminated = false;
-  if (!ReadRecord(in, &fields, /*raw=*/nullptr, &unterminated)) {
+  if (!reader.NextRecord(/*raw=*/nullptr, &unterminated)) {
     return Status::MalformedInput("empty CSV input");
   }
   if (unterminated) {
     return Status::MalformedInput(
         "unterminated quoted field at EOF in CSV header");
   }
+  std::vector<std::string> names(reader.fields_.begin(),
+                                 reader.fields_.end());
   {
     std::unordered_set<std::string> seen;
-    for (const std::string& name : fields) {
-      if (!seen.insert(name).second) {
-        return Status::MalformedInput("duplicate CSV header column '" + name +
-                                      "'");
+    for (const std::string& column : names) {
+      if (!seen.insert(column).second) {
+        return Status::MalformedInput("duplicate CSV header column '" +
+                                      column + "'");
       }
     }
   }
-  auto schema = std::make_shared<Schema>(relation_name, fields);
-  return CsvChunkReader(&in, std::move(schema), std::move(pool), options);
+  reader.schema_ = std::make_shared<Schema>(name, std::move(names));
+  return reader;
+}
+
+void CsvChunkReader::Refill() {
+  const size_t pending = end_ - begin_;
+  if (begin_ > 0) {
+    std::memmove(block_.data(), block_.data() + begin_, pending);
+    shifted_ += begin_;
+    begin_ = 0;
+    end_ = pending;
+  }
+  if (block_.empty()) {
+    block_.resize(kBlockBytes);
+  } else if (end_ == block_.size()) {
+    block_.resize(block_.size() * 2);  // one record fills the buffer
+  }
+  const size_t want = block_.size() - end_;
+  in_->read(block_.data() + end_, static_cast<std::streamsize>(want));
+  const size_t got = static_cast<size_t>(in_->gcount());
+  end_ += got;
+  // istream::read comes back short only at end of input or on error.
+  if (got < want) source_done_ = true;
+}
+
+bool CsvChunkReader::NextRecord(std::string* raw, bool* unterminated) {
+  *unterminated = false;
+  while (true) {
+    const char* p = buffer() + begin_;
+    const char* end = buffer() + end_;
+    if (p == end) {
+      if (source_done_) return false;
+      Refill();
+      continue;
+    }
+    const char* newline =
+        static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (newline == nullptr && !source_done_) {
+      Refill();
+      continue;
+    }
+    const char* line_end = newline != nullptr ? newline : end;
+    const size_t line_size = static_cast<size_t>(line_end - p);
+    if (std::memchr(p, '"', line_size) != nullptr ||
+        std::memchr(p, '\r', line_size) != nullptr) {
+      if (ScanQuotedRecord(raw, unterminated)) return true;
+      Refill();
+      continue;
+    }
+    // Plain record: split in place, the fields stay views into the block.
+    fields_.clear();
+    for (const char* field = p;;) {
+      const char* comma = static_cast<const char*>(
+          std::memchr(field, ',', static_cast<size_t>(line_end - field)));
+      if (comma == nullptr) {
+        fields_.emplace_back(field, static_cast<size_t>(line_end - field));
+        break;
+      }
+      fields_.emplace_back(field, static_cast<size_t>(comma - field));
+      field = comma + 1;
+    }
+    if (raw != nullptr) raw->assign(p, line_size);
+    begin_ = static_cast<size_t>((newline != nullptr ? newline + 1 : end) -
+                                 buffer());
+    return true;
+  }
+}
+
+bool CsvChunkReader::ScanQuotedRecord(std::string* raw, bool* unterminated) {
+  // Running out of buffered bytes before the record ends returns false
+  // ("refill and rescan") at the loop top, unless the input has ended; a
+  // quote whose lookahead runs out gets there too.
+  const char* const data = buffer();
+  size_t i = begin_;
+  const auto exhausted = [&] { return i == end_; };
+  unquoted_.clear();
+  field_ends_.clear();
+  if (raw != nullptr) raw->clear();
+  bool in_quotes = false;
+  bool terminated = false;
+  while (true) {
+    if (exhausted()) {
+      if (!source_done_) return false;
+      break;
+    }
+    const char ch = data[i++];
+    if (raw != nullptr && ch != '\n' && ch != '\r') raw->push_back(ch);
+    if (in_quotes) {
+      if (raw != nullptr && (ch == '\n' || ch == '\r')) raw->push_back(ch);
+      if (ch == '"') {
+        if (!exhausted() && data[i] == '"') {
+          ++i;
+          unquoted_.push_back('"');
+          if (raw != nullptr) raw->push_back('"');
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        unquoted_.push_back(ch);
+      }
+      continue;
+    }
+    if (ch == '"') {
+      in_quotes = true;
+    } else if (ch == ',') {
+      field_ends_.push_back(unquoted_.size());
+    } else if (ch == '\n') {
+      terminated = true;
+      break;
+    } else if (ch != '\r') {  // tolerate CRLF
+      unquoted_.push_back(ch);
+    }
+  }
+  field_ends_.push_back(unquoted_.size());
+  *unterminated = !terminated && in_quotes;
+  fields_.clear();
+  size_t field_begin = 0;
+  for (const size_t field_end : field_ends_) {
+    fields_.emplace_back(unquoted_.data() + field_begin,
+                         field_end - field_begin);
+    field_begin = field_end;
+  }
+  begin_ = i;
+  return true;
 }
 
 StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
@@ -146,7 +224,7 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
   size_t appended = 0;
   bool unterminated = false;
   while (appended < max_rows) {
-    if (!ReadRecord(*in_, &fields_, raw, &unterminated)) {
+    if (!NextRecord(raw, &unterminated)) {
       at_end_ = true;
       break;
     }
@@ -174,12 +252,12 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
       continue;
     }
     if (sidecar == nullptr) {
-      chunk->AppendRowStrings(fields_);
+      chunk->AppendRowViews(fields_);
     } else {
-      chunk->AppendRowStringsMasked(fields_, sidecar->materialized);
+      chunk->AppendRowViewsMasked(fields_, sidecar->materialized);
       for (size_t a = 0; a < fields_.size(); ++a) {
         if (sidecar->pruned(static_cast<AttrId>(a))) {
-          sidecar->columns[a].push_back(fields_[a]);
+          sidecar->columns[a].emplace_back(fields_[a]);
         }
       }
     }
@@ -191,15 +269,10 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
 
 namespace {
 
-// Shared by the stream and file entry points; `expected_rows` pre-sizes
-// the row store when the caller can estimate it (0 = unknown).
-StatusOr<Table> ReadCsvLenientImpl(std::istream& in,
-                                   const std::string& relation_name,
-                                   std::shared_ptr<ValuePool> pool,
-                                   const CsvReadOptions& options,
-                                   size_t expected_rows) {
-  StatusOr<CsvChunkReader> reader =
-      CsvChunkReader::Open(in, relation_name, std::move(pool), options);
+// Shared by the whole-table entry points; `expected_rows` pre-sizes the
+// row store when the caller can estimate it (0 = unknown).
+StatusOr<Table> ReadAll(StatusOr<CsvChunkReader> reader,
+                        size_t expected_rows) {
   if (!reader.ok()) return reader.status();
   Table table = reader.value().MakeChunkTable();
   if (expected_rows > 0) table.Reserve(expected_rows);
@@ -215,8 +288,18 @@ StatusOr<Table> ReadCsvLenient(std::istream& in,
                                const std::string& relation_name,
                                std::shared_ptr<ValuePool> pool,
                                const CsvReadOptions& options) {
-  return ReadCsvLenientImpl(in, relation_name, std::move(pool), options,
-                            /*expected_rows=*/0);
+  return ReadAll(
+      CsvChunkReader::Open(in, relation_name, std::move(pool), options),
+      /*expected_rows=*/0);
+}
+
+StatusOr<Table> ReadCsvLenient(std::string_view csv,
+                               const std::string& relation_name,
+                               std::shared_ptr<ValuePool> pool,
+                               const CsvReadOptions& options) {
+  return ReadAll(
+      CsvChunkReader::Open(csv, relation_name, std::move(pool), options),
+      /*expected_rows=*/0);
 }
 
 StatusOr<Table> ReadCsvFileLenient(const std::string& path,
@@ -229,66 +312,127 @@ StatusOr<Table> ReadCsvFileLenient(const std::string& path,
   }
   const std::streamoff file_bytes = in.tellg();
   in.seekg(0);
-  // Pre-size from the file size so bulk ingestion avoids rehashes and
-  // row-store regrowth. Both are deliberately low-ball estimates (CSV
-  // rows are rarely under 32 bytes; distinct values are a fraction of
-  // total bytes): under-reserving costs one late grow, over-reserving
-  // costs resident memory.
-  size_t expected_rows = 0;
-  if (file_bytes > 0) {
-    const size_t bytes = static_cast<size_t>(file_bytes);
-    expected_rows = bytes / 32;
-    pool->Reserve(bytes / 16);
-  }
-  return ReadCsvLenientImpl(in, relation_name, std::move(pool), options,
-                            expected_rows);
+  // Pre-size the row store from the file size so bulk ingestion avoids
+  // regrowth. A deliberately low-ball estimate (CSV rows are rarely under
+  // 32 bytes); the reservation is not touched until rows land in it.
+  const size_t expected_rows =
+      file_bytes > 0 ? static_cast<size_t>(file_bytes) / 32 : 0;
+  return ReadAll(
+      CsvChunkReader::Open(in, relation_name, std::move(pool), options),
+      expected_rows);
 }
 
-void WriteCsvHeader(const Schema& schema, std::ostream& out) {
-  for (size_t a = 0; a < schema.arity(); ++a) {
-    if (a > 0) out << ',';
-    WriteField(schema.attribute_name(static_cast<AttrId>(a)), out);
+namespace {
+
+// Renders CSV text into one string: the caller's (string sink) or its
+// own buffer, handed to an ostream with one write about every
+// kBlockBytes and at Flush. Stream errors land in the stream's state,
+// where the caller checks them.
+class CsvRenderer {
+ public:
+  explicit CsvRenderer(std::string* sink) : out_(nullptr), text_(sink) {}
+  explicit CsvRenderer(std::ostream* out) : out_(out), text_(&buffer_) {
+    buffer_.reserve(kBlockBytes + (kBlockBytes >> 4));
   }
-  out << '\n';
+  // text_ may point at buffer_.
+  CsvRenderer(const CsvRenderer&) = delete;
+  CsvRenderer& operator=(const CsvRenderer&) = delete;
+
+  void Header(const Schema& schema) {
+    for (size_t a = 0; a < schema.arity(); ++a) {
+      if (a > 0) text_->push_back(',');
+      AppendCsvField(text_, schema.attribute_name(static_cast<AttrId>(a)));
+    }
+    EndRow();
+  }
+
+  // Rows [begin_row, num_rows); pruned cells come from `sidecar`.
+  void Rows(const Table& table, size_t begin_row,
+            const ColumnSidecar* sidecar) {
+    const ValuePool& pool = table.pool();
+    // Per ValueId: 0 = not yet seen, 1 = verbatim, 2 = quoted.
+    quoting_.assign(pool.size(), 0);
+    const size_t arity = table.num_columns();
+    for (size_t r = begin_row; r < table.num_rows(); ++r) {
+      const TupleRef row = table.row(r);
+      for (size_t a = 0; a < arity; ++a) {
+        if (a > 0) text_->push_back(',');
+        if (sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(a))) {
+          AppendCsvField(text_, sidecar->columns[a][r]);
+          continue;
+        }
+        const ValueId id = row[a];
+        if (id == kNullValue) continue;
+        const std::string& value = pool.GetString(id);
+        uint8_t& quoting = quoting_[static_cast<size_t>(id)];
+        if (quoting == 0) quoting = CsvFieldNeedsQuotes(value) ? 2 : 1;
+        if (quoting == 1) {
+          text_->append(value);
+        } else {
+          AppendCsvField(text_, value);
+        }
+      }
+      EndRow();
+    }
+  }
+
+  // Hands buffered text to the stream (a no-op for a string sink).
+  void Flush() {
+    if (out_ == nullptr || text_->empty()) return;
+    out_->write(text_->data(), static_cast<std::streamsize>(text_->size()));
+    text_->clear();
+  }
+
+ private:
+  void EndRow() {
+    text_->push_back('\n');
+    if (out_ != nullptr && text_->size() >= kBlockBytes) Flush();
+  }
+
+  std::ostream* out_;  // null for a string sink
+  std::string* text_;
+  std::string buffer_;
+  std::vector<uint8_t> quoting_;
+};
+
+}  // namespace
+
+void WriteCsvHeader(const Schema& schema, std::ostream& out) {
+  CsvRenderer renderer(&out);
+  renderer.Header(schema);
+  renderer.Flush();
 }
 
 void WriteCsvRows(const Table& table, std::ostream& out, size_t begin_row) {
-  const Schema& schema = table.schema();
-  for (size_t r = begin_row; r < table.num_rows(); ++r) {
-    for (size_t a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << ',';
-      WriteField(table.CellString(r, static_cast<AttrId>(a)), out);
-    }
-    out << '\n';
-  }
+  CsvRenderer renderer(&out);
+  renderer.Rows(table, begin_row, /*sidecar=*/nullptr);
+  renderer.Flush();
 }
 
 void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
                         std::ostream& out) {
-  const Schema& schema = table.schema();
-  FIXREP_CHECK_EQ(sidecar.columns.size(), schema.arity());
-  for (size_t a = 0; a < schema.arity(); ++a) {
+  FIXREP_CHECK_EQ(sidecar.columns.size(), table.num_columns());
+  for (size_t a = 0; a < table.num_columns(); ++a) {
     if (sidecar.pruned(static_cast<AttrId>(a))) {
       FIXREP_CHECK_EQ(sidecar.columns[a].size(), table.num_rows());
     }
   }
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << ',';
-      const AttrId attr = static_cast<AttrId>(a);
-      if (sidecar.pruned(attr)) {
-        WriteField(sidecar.columns[a][r], out);
-      } else {
-        WriteField(table.CellString(r, attr), out);
-      }
-    }
-    out << '\n';
-  }
+  CsvRenderer renderer(&out);
+  renderer.Rows(table, /*begin_row=*/0, &sidecar);
+  renderer.Flush();
 }
 
 void WriteCsv(const Table& table, std::ostream& out) {
-  WriteCsvHeader(table.schema(), out);
-  WriteCsvRows(table, out);
+  CsvRenderer renderer(&out);
+  renderer.Header(table.schema());
+  renderer.Rows(table, /*begin_row=*/0, /*sidecar=*/nullptr);
+  renderer.Flush();
+}
+
+void WriteCsv(const Table& table, std::string* out) {
+  CsvRenderer renderer(out);
+  renderer.Header(table.schema());
+  renderer.Rows(table, /*begin_row=*/0, /*sidecar=*/nullptr);
 }
 
 Status TryWriteCsvFile(const Table& table, const std::string& path) {

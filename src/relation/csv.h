@@ -1,9 +1,11 @@
 #ifndef FIXREP_RELATION_CSV_H_
 #define FIXREP_RELATION_CSV_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/quarantine.h"
@@ -29,7 +31,9 @@ namespace fixrep {
 // For out-of-core ingestion, CsvChunkReader parses the same format
 // incrementally: open once (header -> schema), then pull fixed-size row
 // chunks — the input side of the streaming repair pipeline
-// (repair/streaming.h, docs/storage.md).
+// (repair/streaming.h, docs/storage.md). Every read entry point,
+// whole-table or chunked, stream or in-memory, goes through it; every
+// write entry point goes through one buffered renderer.
 
 struct CsvReadOptions {
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
@@ -76,12 +80,26 @@ struct ColumnSidecar {
 // lenient error policy as ReadCsvLenient. Record ordinals (and thus
 // quarantine Diagnostic::line values) are global across chunks, so a
 // chunked read of a file is indistinguishable from a whole-file read.
-// The stream must outlive the reader.
+//
+// A stream source is read ahead in 1 MiB blocks (istream::read into one
+// reused buffer; a record that crosses the block end moves to the front
+// and the next block lands behind it, and a record longer than the
+// buffer doubles it). Records with no '"' and no '\r' are split in place
+// and their fields interned straight from the block; any other record
+// runs the full quoting state machine. The stream (or the in-memory
+// bytes) must outlive the reader, and the reader owns the stream's
+// position: it has read past the records it has handed out.
 class CsvChunkReader {
  public:
   // Reads and validates the header. Header problems are fatal (same
   // policy as ReadCsvLenient).
   static StatusOr<CsvChunkReader> Open(std::istream& in,
+                                       const std::string& relation_name,
+                                       std::shared_ptr<ValuePool> pool,
+                                       const CsvReadOptions& options = {});
+  // The same reader over CSV bytes already in memory (no copy, no
+  // stream); `csv` must outlive the reader.
+  static StatusOr<CsvChunkReader> Open(std::string_view csv,
                                        const std::string& relation_name,
                                        std::shared_ptr<ValuePool> pool,
                                        const CsvReadOptions& options = {});
@@ -120,26 +138,58 @@ class CsvChunkReader {
     options_.quarantine = sink;
     return previous;
   }
-  // Stream position in bytes (tellg), for input-progress reporting; 0
-  // when the stream cannot tell (pipes, failed state at EOF).
+  // Input offset in bytes just past the last record consumed (header
+  // and dropped records included), for input-progress reporting — not
+  // the read-ahead position. Stream offsets count from 0 at the stream's
+  // start; 0 when the stream could not tellg at Open (pipes).
   uint64_t bytes_read() const {
-    const auto pos = in_->tellg();
-    return pos < 0 ? 0 : static_cast<uint64_t>(pos);
+    return start_offset_ < 0
+               ? 0
+               : static_cast<uint64_t>(start_offset_) + shifted_ + begin_;
   }
 
  private:
-  CsvChunkReader(std::istream* in, std::shared_ptr<const Schema> schema,
+  CsvChunkReader(std::istream* in, std::string_view input,
                  std::shared_ptr<ValuePool> pool,
                  const CsvReadOptions& options);
+  static StatusOr<CsvChunkReader> ReadHeader(CsvChunkReader reader,
+                                             const std::string& name);
 
-  std::istream* in_;
+  // Parses the next record into fields_ and consumes it. Returns false
+  // at end of input. With a non-null `raw`, the record's text (line
+  // terminators outside quotes stripped) is stored there for quarantine
+  // diagnostics. `*unterminated` reports a quoted field still open when
+  // the input ended.
+  bool NextRecord(std::string* raw, bool* unterminated);
+  // Runs the quoting state machine over the record at the buffer head.
+  // Returns false when the record may continue past the buffered bytes.
+  bool ScanQuotedRecord(std::string* raw, bool* unterminated);
+  // Stream sources only: moves the unconsumed bytes to the front of the
+  // buffer (doubling it when they fill it) and reads behind them.
+  void Refill();
+  const char* buffer() const {
+    return in_ != nullptr ? block_.data() : input_.data();
+  }
+
+  std::istream* in_;          // null for an in-memory source
+  std::string_view input_;    // the in-memory source
+  std::string block_;         // the stream source's read buffer
+  size_t begin_ = 0;          // first unconsumed buffered byte
+  size_t end_ = 0;            // end of the buffered bytes
+  bool source_done_ = false;  // no bytes beyond end_
+  int64_t start_offset_ = 0;  // tellg at Open; -1 when untellable
+  uint64_t shifted_ = 0;      // bytes moved out by Refill
   std::shared_ptr<const Schema> schema_;
   std::shared_ptr<ValuePool> pool_;
   CsvReadOptions options_;
   size_t record_ = 0;
   bool at_end_ = false;
-  // Per-record scratch, reused across the whole read.
-  std::vector<std::string> fields_;
+  // Per-record scratch, reused across the whole read: the fields as
+  // views into the block (plain records) or into unquoted_ (quoted
+  // ones, whose unescaped bytes field_ends_ delimits).
+  std::vector<std::string_view> fields_;
+  std::string unquoted_;
+  std::vector<size_t> field_ends_;
   std::string raw_;
 };
 
@@ -149,16 +199,27 @@ StatusOr<Table> ReadCsvLenient(std::istream& in,
                                const std::string& relation_name,
                                std::shared_ptr<ValuePool> pool,
                                const CsvReadOptions& options = {});
+// The same over CSV bytes already in memory (a daemon request body).
+StatusOr<Table> ReadCsvLenient(std::string_view csv,
+                               const std::string& relation_name,
+                               std::shared_ptr<ValuePool> pool,
+                               const CsvReadOptions& options = {});
 
-// Reads a table from a file path. Pre-sizes the value pool and row store
-// from the file size so bulk ingestion avoids rehash/reallocation.
+// Reads a table from a file path. Pre-sizes the row store from the file
+// size so bulk ingestion avoids regrowth; the value pool grows by
+// doubling, so nothing is reserved there.
 StatusOr<Table> ReadCsvFileLenient(const std::string& path,
                                    const std::string& relation_name,
                                    std::shared_ptr<ValuePool> pool,
                                    const CsvReadOptions& options = {});
 
 // Writes header + rows; fields containing comma/quote/newline are quoted.
+// Rows render into one reused buffer that goes to the stream with
+// ostream::write about every 1 MiB; whether a value needs quoting is
+// decided once per ValueId per call.
 void WriteCsv(const Table& table, std::ostream& out);
+// The same bytes appended to *out (a daemon response body).
+void WriteCsv(const Table& table, std::string* out);
 
 // Streaming-friendly pieces of WriteCsv: the header line alone, and a
 // row range [begin_row, table.num_rows()) with no header. WriteCsv ==

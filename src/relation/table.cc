@@ -20,7 +20,7 @@ void Table::AppendRow(TupleRef row) {
   store_.AppendRow(row);
 }
 
-void Table::AppendRowStrings(const std::vector<std::string>& fields) {
+void Table::AppendRowViews(std::span<const std::string_view> fields) {
   FIXREP_CHECK_EQ(fields.size(), schema_->arity());
   const TupleSpan row = store_.AppendRowUninit();
   for (size_t i = 0; i < fields.size(); ++i) {
@@ -28,8 +28,12 @@ void Table::AppendRowStrings(const std::vector<std::string>& fields) {
   }
 }
 
-void Table::AppendRowStringsMasked(const std::vector<std::string>& fields,
-                                   AttrSet materialize) {
+void Table::AppendRowStrings(const std::vector<std::string>& fields) {
+  AppendRowViews(std::vector<std::string_view>(fields.begin(), fields.end()));
+}
+
+void Table::AppendRowViewsMasked(std::span<const std::string_view> fields,
+                                 AttrSet materialize) {
   FIXREP_CHECK_EQ(fields.size(), schema_->arity());
   const TupleSpan row = store_.AppendRowUninit();
   for (size_t i = 0; i < fields.size(); ++i) {

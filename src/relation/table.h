@@ -2,6 +2,7 @@
 #define FIXREP_RELATION_TABLE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,14 +53,16 @@ class Table {
   // table.AppendRow({a, b, c}).
   void AppendRow(const Tuple& row) { AppendRow(TupleRef(row)); }
 
-  // Interns each field and appends the resulting tuple.
+  // Interns each field and appends the resulting tuple. The views need
+  // only live for the call (the CSV reader passes views into its block).
+  void AppendRowViews(std::span<const std::string_view> fields);
   void AppendRowStrings(const std::vector<std::string>& fields);
 
   // Column-pruned append: interns only the fields whose attribute is in
   // `materialize`; every other cell is stored as kNullValue and its raw
   // field text is the caller's to carry (relation/csv.h ColumnSidecar).
-  void AppendRowStringsMasked(const std::vector<std::string>& fields,
-                              AttrSet materialize);
+  void AppendRowViewsMasked(std::span<const std::string_view> fields,
+                            AttrSet materialize);
 
   // Cell accessors by interned id and by string.
   ValueId cell(size_t row, AttrId attr) const {

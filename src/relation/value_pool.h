@@ -6,7 +6,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace fixrep {
 
@@ -20,6 +20,15 @@ inline constexpr ValueId kNullValue = -1;
 // Interns strings to dense ValueIds. A pool is shared by every table and
 // rule set that must be comparable (e.g., the dirty table, the ground
 // truth, and the rules repairing it).
+//
+// Ids are dense and handed out in first-intern order; the strings live
+// in a deque so their addresses never move. The intern index is a flat
+// open-addressing table: each 8-byte slot holds a 32-bit hash tag and
+// the ValueId (kNullValue marks an empty slot). A lookup hashes the
+// bytes once (8-byte words folded through SplitMix64), probes linearly
+// from tag & mask, and compares strings only on a tag match. The table
+// keeps its load at or below 7/8 and doubles when it would pass that;
+// a rehash moves slots by their tags alone, without touching a string.
 //
 // Not thread-safe for concurrent interning; concurrent read-only lookups
 // (GetString / Find) are safe once interning has stopped. Debug builds
@@ -35,11 +44,6 @@ class ValuePool {
   // Returns the id for `s`, interning it if new.
   ValueId Intern(std::string_view s);
 
-  // Pre-sizes the intern hash for `expected_values` distinct values so
-  // bulk ingestion never rehashes. Callers estimate: CSV ingestion uses
-  // a file-size heuristic (csv.cc).
-  void Reserve(size_t expected_values);
-
   // Returns the id for `s` or kNullValue if it has never been interned.
   ValueId Find(std::string_view s) const;
 
@@ -50,10 +54,19 @@ class ValuePool {
   size_t size() const { return strings_.size(); }
 
  private:
-  // deque keeps string addresses stable so the map can key on views into
-  // the stored strings without re-allocation invalidating them.
+  struct Slot {
+    uint32_t tag = 0;
+    ValueId id = kNullValue;
+  };
+
+  // The slot index holding `s` (tag `tag`), or the empty slot where it
+  // would go.
+  size_t Probe(std::string_view s, uint32_t tag) const;
+  // Doubles the slot table (or makes the first one) and reinserts.
+  void Grow();
+
   std::deque<std::string> strings_;
-  std::unordered_map<std::string_view, ValueId> index_;
+  std::vector<Slot> slots_;  // power-of-two size, or empty
 #ifndef NDEBUG
   // Debug-only concurrent-interning detector (see class comment). Not a
   // lock: it aborts on overlap instead of serializing it.

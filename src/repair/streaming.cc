@@ -329,6 +329,9 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       }
     }
     if (!read.ok()) return read.status();
+    // Records dropped after the last full chunk are consumed too, so the
+    // gauge ends at the input size.
+    progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
     if (read.value() == 0 && reader->at_end()) break;
     ++result.chunks;
     const size_t chunk_cells_before = result.cells_changed;
@@ -337,7 +340,6 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     chunk_diags.clear();
     const uint64_t chunk_start_ns = TraceNowNanos();
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
-    progress.input_bytes->Set(static_cast<int64_t>(reader->bytes_read()));
 
     if (driver.threads() > 1 && chunk.store().spilling()) {
       // Pooled workers must never race a block state transition, so a

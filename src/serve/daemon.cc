@@ -27,16 +27,6 @@ void TickServeCounter(const char* name, uint64_t n = 1) {
   }
 }
 
-// Read-only streambuf over a request's CSV bytes: ReadCsvLenient takes
-// an istream, and an istringstream would copy the multi-MB batch first.
-class ViewBuf : public std::streambuf {
- public:
-  explicit ViewBuf(const std::string& s) {
-    char* p = const_cast<char*>(s.data());
-    setg(p, p, p + s.size());
-  }
-};
-
 }  // namespace
 
 RepairDaemon::RepairDaemon(TenantRegistry* registry, DaemonOptions options)
@@ -297,14 +287,13 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
   // Parse the request batch into the tenant's pool. Interning mutates
   // the pool (single-writer rule), so parsing takes the writer side
   // while concurrent chases hold the reader side.
-  ViewBuf csv_buf(request.csv);
-  std::istream csv_in(&csv_buf);
   CsvReadOptions csv_options;
   csv_options.on_error = config.on_error;
   csv_options.quarantine = quarantining ? &row_sink : nullptr;
   StatusOr<Table> table_or = [&] {
     std::unique_lock<std::shared_mutex> writer(snapshot->pool_mutex());
-    return ReadCsvLenient(csv_in, "data", snapshot->pool(), csv_options);
+    return ReadCsvLenient(std::string_view(request.csv), "data",
+                          snapshot->pool(), csv_options);
   }();
   if (!table_or.ok()) {
     return ErrorResponse(Verb::kRepair,
@@ -319,24 +308,21 @@ Response RepairDaemon::HandleRepair(const RepairRequest& request) {
                                request.tenant + "' schema"));
   }
 
-  RepairReport report;
+  Response response;
+  response.verb = Verb::kRepair;
   {
     std::shared_lock<std::shared_mutex> reader(snapshot->pool_mutex());
     RepairSession session(snapshot->repository(), config);
     StatusOr<RepairReport> report_or = session.Repair(&table);
     if (!report_or.ok()) return ErrorResponse(Verb::kRepair,
                                               report_or.status());
-    report = report_or.value();
+    response.repair.rows = report_or->rows;
+    response.repair.cells_changed = report_or->cells_changed;
+    response.repair.tuples_quarantined = report_or->tuples_quarantined;
+    // Rendering reads the pool's strings, so it stays on the reader side:
+    // a concurrent parse may be growing the pool.
+    WriteCsv(table, &response.repair.csv);
   }
-
-  Response response;
-  response.verb = Verb::kRepair;
-  response.repair.rows = report.rows;
-  response.repair.cells_changed = report.cells_changed;
-  response.repair.tuples_quarantined = report.tuples_quarantined;
-  std::ostringstream out;
-  WriteCsv(table, out);
-  response.repair.csv = std::move(out).str();
   if (quarantining &&
       (!row_sink.diagnostics().empty() || !tuple_sink.diagnostics().empty())) {
     std::ostringstream quarantine;

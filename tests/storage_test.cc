@@ -272,14 +272,24 @@ TEST_F(TableStorageTest, NullCellsRoundTripThroughCsvWrite) {
   EXPECT_EQ(again.str(), out.str());
 }
 
-TEST(ValuePoolReserveTest, ReserveDoesNotDisturbInterning) {
+TEST(ValuePoolGrowthTest, GrowthDoesNotDisturbInterning) {
   ValuePool pool;
   const ValueId a = pool.Intern("before");
-  pool.Reserve(100000);
+  // Enough distinct values to double the slot table many times over.
+  for (int i = 0; i < 100000; ++i) {
+    EXPECT_EQ(pool.Intern("v" + std::to_string(i)), i + 1);
+  }
   EXPECT_EQ(pool.Find("before"), a);
+  EXPECT_EQ(pool.Find("v99999"), 100000);
+  EXPECT_EQ(pool.Find("v100000"), kNullValue);
+  // Values that differ only past the first 8-byte word, or only by a
+  // trailing NUL, stay distinct.
+  const ValueId nul = pool.Intern(std::string_view("before\0", 7));
+  EXPECT_NE(nul, a);
+  EXPECT_NE(pool.Intern("prefix__x"), pool.Intern("prefix__y"));
   const ValueId b = pool.Intern("after");
   EXPECT_EQ(pool.GetString(b), "after");
-  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.size(), 100005u);
 }
 
 }  // namespace

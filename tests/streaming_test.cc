@@ -3,6 +3,8 @@
 // repaired CSV bytes AND quarantine diagnostics — is bit-identical to
 // repairing the whole table in memory and writing it out.
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -426,6 +428,51 @@ TEST_F(StreamingQuarantineTest, StreamingCountersTickPerChunkAndRow) {
   EXPECT_EQ(run->result.cells_changed, 5u);
   EXPECT_EQ(CounterValue("fixrep.streaming.chunks"), 3u);
   EXPECT_EQ(CounterValue("fixrep.streaming.rows"), 5u);
+}
+
+// The input-progress gauge reports bytes consumed, not read ahead: after
+// the run it equals the input file's size, also when the file ends in
+// records dropped after a full chunk.
+TEST_F(StreamingQuarantineTest, FinalInputProgressEqualsFileSize) {
+  if (!kMetricsEnabled) {
+    GTEST_SKIP() << "built with FIXREP_DISABLE_METRICS";
+  }
+  const std::string input_csv =
+      "country,capital,name\n"
+      "China,Shanghai,x\n"
+      "China,Beijing,y\n"
+      "France,Paris,z\n"
+      "China,Hongkong,w\n"
+      "bad,row,with,too,many\n"
+      "France,Paris\n";
+  const std::string path =
+      ::testing::TempDir() + "/streaming_progress_input.csv";
+  {
+    std::ofstream file(path, std::ios::binary);
+    file << input_csv;
+  }
+  const CompiledRuleIndex index(&rules_);
+  for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{4}}) {
+    MetricsRegistry::Global().ResetAllForTest();
+    const std::string context = "chunk_rows=" + std::to_string(chunk_rows);
+    std::ifstream in(path, std::ios::binary);
+    CsvReadOptions csv_options;
+    csv_options.on_error = OnErrorPolicy::kSkip;
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "R", pool_, csv_options);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    StreamingRepairOptions options;
+    options.chunk_rows = chunk_rows;
+    StreamingRepairSession session(&index, options);
+    std::ostringstream out;
+    ASSERT_TRUE(session.Run(&reader.value(), out).ok()) << context;
+    const Gauge* gauge =
+        MetricsRegistry::Global().FindGauge("fixrep.progress.input_bytes_read");
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->Value(), static_cast<int64_t>(input_csv.size()))
+        << context;
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- out-of-core spill --

@@ -2,6 +2,7 @@
 #define FIXREP_TESTS_TESTING_UTIL_H_
 
 #include <algorithm>
+#include <istream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,6 +171,66 @@ class JsonChecker {
   const std::string& text_;
   size_t pos_ = 0;
 };
+
+// The reference CSV record parser: one istream::get per character, the
+// state machine relation/csv.cc runs on every record with a '"' or '\r'.
+// Parses one record (quoted fields may span lines) into *fields. Returns
+// false at EOF with no data consumed. With a non-null `raw` the record's
+// text is stored verbatim, line terminators outside quotes stripped, as
+// quarantine diagnostics carry it. `*unterminated` reports a quoted field
+// still open when the input ended.
+inline bool ReferenceReadRecord(std::istream& in,
+                                std::vector<std::string>* fields,
+                                std::string* raw, bool* unterminated) {
+  fields->clear();
+  if (raw != nullptr) raw->clear();
+  *unterminated = false;
+  std::string field;
+  bool in_quotes = false;
+  bool saw_any = false;
+  int c;
+  while ((c = in.get()) != EOF) {
+    saw_any = true;
+    const char ch = static_cast<char>(c);
+    if (raw != nullptr && ch != '\n' && ch != '\r') raw->push_back(ch);
+    if (in_quotes) {
+      if (raw != nullptr && (ch == '\n' || ch == '\r')) raw->push_back(ch);
+      if (ch == '"') {
+        if (in.peek() == '"') {
+          in.get();
+          field.push_back('"');
+          if (raw != nullptr) raw->push_back('"');
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field.push_back(ch);
+      }
+      continue;
+    }
+    switch (ch) {
+      case '"':
+        in_quotes = true;
+        break;
+      case ',':
+        fields->push_back(std::move(field));
+        field.clear();
+        break;
+      case '\r':
+        break;  // tolerate CRLF
+      case '\n':
+        fields->push_back(std::move(field));
+        return true;
+      default:
+        field.push_back(ch);
+        break;
+    }
+  }
+  if (!saw_any) return false;
+  *unterminated = in_quotes;
+  fields->push_back(std::move(field));
+  return true;
+}
 
 // One RepairDriver pass over every row of a table: the range outcome plus
 // the driver's merged stats, with fixrep.lrepair.* published.
