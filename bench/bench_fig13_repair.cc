@@ -384,75 +384,6 @@ void WriteRepairJson() {
   }
   std::remove(wal_path.c_str());
 
-  // Out-of-core spill: the whole input as one chunk whose cell blocks
-  // obey a resident budget of 8 blocks (comfortably above the 2-block
-  // working-set floor, so requested == effective and the regression
-  // gate's peak-vs-budget comparison is meaningful).
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
-  const size_t spill_budget = 8 * block_bytes;
-  StreamingRepairOptions spill_options;
-  spill_options.chunk_rows = ~size_t{0};  // whole file; the budget rules
-  spill_options.memory_budget_bytes = spill_budget;
-  const StreamCost spill_run =
-      stream_best_of("fig13_streaming_spill", input_csv, index, spill_options);
-
-  // Column pruning, measured on the shape it exists for: wide rows where
-  // only a few columns are rule-constrained and the rest are
-  // high-cardinality free text (ids, timestamps, notes) that interning
-  // would hash and keep forever. The hosp rules mention every hosp
-  // column, so the base workload gains nothing from pruning; the wide
-  // variant appends per-row-unique payload columns no rule mentions
-  // (rule attr ids stay valid — payload columns go at the end) and
-  // compares the same chunked stream with pruning off vs on.
-  constexpr size_t kPayloadColumns = 8;
-  std::vector<std::string> wide_names;
-  for (size_t a = 0; a < dup.num_columns(); ++a) {
-    wide_names.push_back(
-        dup.schema().attribute_name(static_cast<AttrId>(a)));
-  }
-  for (size_t w = 0; w < kPayloadColumns; ++w) {
-    wide_names.push_back("payload_" + std::to_string(w));
-  }
-  const auto wide_schema =
-      std::make_shared<Schema>("hosp_wide", std::move(wide_names));
-  Table wide(wide_schema, workload.data.pool);
-  {
-    Tuple row;
-    for (size_t r = 0; r < dup.num_rows(); ++r) {
-      row.clear();
-      const TupleRef base = dup.row(r);
-      for (size_t a = 0; a < base.size(); ++a) row.push_back(base[a]);
-      for (size_t w = 0; w < kPayloadColumns; ++w) {
-        row.push_back(workload.data.pool->Intern(
-            "note-" + std::to_string(w) + "-" + std::to_string(r * 7919) +
-            "-f8a3bc21"));
-      }
-      wide.AppendRow(row);
-    }
-  }
-  RuleSet wide_rules(wide_schema, workload.data.pool);
-  for (size_t i = 0; i < workload.rules.size(); ++i) {
-    wide_rules.Add(workload.rules.rule(i));
-  }
-  const CompiledRuleIndex wide_index(&wide_rules);
-  std::string wide_csv;
-  {
-    std::ostringstream csv;
-    WriteCsv(wide, csv);
-    wide_csv = csv.str();
-  }
-  StreamingRepairOptions wide_options;
-  wide_options.chunk_rows = kStreamChunkRows;
-  const StreamCost wide_run = stream_best_of("fig13_streaming_wide",
-                                             wide_csv, wide_index,
-                                             wide_options);
-  StreamingRepairOptions pruned_options = wide_options;
-  pruned_options.prune_columns = true;
-  const StreamCost pruned_run = stream_best_of("fig13_streaming_pruned",
-                                               wide_csv, wide_index,
-                                               pruned_options);
-
   // On-disk rule dictionary (rules/rule_dict.h): the same serial chase
   // through a compiled, memory-mapped dictionary instead of the in-RAM
   // index. Three rows: in-RAM reference (measured here so dict and RAM
@@ -524,15 +455,16 @@ void WriteRepairJson() {
   std::remove(dict_path.c_str());
 
   // Corpus-scale dictionary under a memory budget: hosp data streamed
-  // in spill mode against a dictionary far larger than the budget —
-  // the working-set claim of docs/rules.md. Reduced scale by default;
-  // FIXREP_FULL_SCALE=1 (or FIXREP_RULEDICT_ROWS/_RULES) runs the
-  // 1M-row x 1M-rule version. The data, corpus, and CSV text are built
-  // and dropped before the measured region, and VmHWM is reset going
-  // in, so rss_delta_bytes is what the dictionary-backed spill run
+  // in budget-capped chunks against a dictionary far larger than the
+  // budget — the working-set claim of docs/rules.md. Reduced scale by
+  // default; FIXREP_FULL_SCALE=1 (or FIXREP_RULEDICT_ROWS/_RULES) runs
+  // the 1M-row x 1M-rule version. The data, corpus, and CSV text are
+  // built and dropped before the measured region, and VmHWM is reset
+  // going in, so rss_delta_bytes is what the dictionary-backed run
   // itself keeps resident — gated by check_regression.py --ruledict
   // against dict_bytes (the corpus must NOT become resident) while the
-  // existing budget audit gates peak_resident_bytes.
+  // standing budget audit gates peak_resident_bytes (the chunk table's
+  // cell bytes) against budget_bytes.
   const ExperimentScale exp_scale = GetExperimentScale();
   const size_t budget_rows = EnvSizeT("FIXREP_RULEDICT_ROWS",
                                       exp_scale.full ? 1'000'000 : 60'000);
@@ -580,8 +512,8 @@ void WriteRepairJson() {
   const uint64_t scale_dict_bytes = FileBytes(scale_dict_path);
   const size_t scale_block_bytes =
       RowStore::kRowsPerBlock * dup.num_columns() * sizeof(ValueId);
-  // ~1/8 of the table stays resident, with a small floor above the
-  // 2-block working-set minimum so requested == effective.
+  // ~1/8 of the table per chunk, and at least 8 RowStore blocks; the
+  // budget caps the whole-file chunk at budget / (arity * 4) rows.
   const size_t scale_budget_bytes =
       std::max(8 * scale_block_bytes,
                budget_rows * dup.num_columns() * sizeof(ValueId) / 8);
@@ -589,9 +521,9 @@ void WriteRepairJson() {
   const uint64_t rss_before = ProcStatusBytes("VmRSS:");
   RepairReport budget_report;
   double budget_ms = 0;
-  // Best-of-3 (single spill-heavy runs swing double-digit percentages
-  // on a shared machine); the RSS window spans all three, which only
-  // tightens the resident-set claim.
+  // Best-of-3 (single runs swing double-digit percentages on a shared
+  // machine); the RSS window spans all three, which only tightens the
+  // resident-set claim.
   for (int i = 0; i < 3; ++i) {
     std::ifstream scale_in(scale_csv_path);
     auto scale_pool = std::make_shared<ValuePool>();
@@ -736,23 +668,6 @@ void WriteRepairJson() {
            static_cast<double>(wal_fsyncs) /
                std::max<double>(1.0, static_cast<double>(wal_run.result.chunks)));
   json.Set("streaming_wal", "wal_bytes", static_cast<double>(wal_bytes));
-  json.Set("streaming_spill", "ms", spill_run.cost.ms);
-  json.Set("streaming_spill", "rows_per_sec",
-           rows / (spill_run.cost.ms / 1e3));
-  json.Set("streaming_spill", "budget_bytes",
-           static_cast<double>(spill_budget));
-  json.Set("streaming_spill", "peak_resident_bytes",
-           static_cast<double>(spill_run.result.peak_resident_bytes));
-  json.Set("streaming_pruned", "ms", pruned_run.cost.ms);
-  json.Set("streaming_pruned", "rows_per_sec",
-           rows / (pruned_run.cost.ms / 1e3));
-  json.Set("streaming_pruned", "columns_pruned",
-           static_cast<double>(pruned_run.result.columns_pruned));
-  json.Set("streaming_pruned", "payload_columns",
-           static_cast<double>(kPayloadColumns));
-  json.Set("streaming_pruned", "unpruned_ms", wide_run.cost.ms);
-  json.Set("streaming_pruned", "speedup_vs_chunked",
-           wide_run.cost.ms / pruned_run.cost.ms);
   json.Set("ruledict_inram", "ms", dict_inram.ms);
   json.Set("ruledict_inram", "rows_per_sec", rows / (dict_inram.ms / 1e3));
   json.Set("ruledict_inram", "allocations", dict_inram.allocations);

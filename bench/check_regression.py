@@ -9,14 +9,18 @@ scheduler noise between runs, while the regressions this guards against
 -- losing batched probes, pooling, or block reuse -- cost 2-10x). Entries present on only one side are reported and skipped
 (bench_fig13_repair and bench_scaling emit different section sets into
 the same file), but finding *no* comparable entry at all is an error —
-that means the check compared the wrong files.
+that means the check compared the wrong files. Sections whose speed
+depends on the probe kernel (serial_nomemo_simd and ruledict_{cold,
+inram,warm}) are compared only when the current run's
+workload.simd_kernel matches the baseline's: a scalar run is not held
+to AVX2 figures.
 
-Additionally audits the out-of-core sections of the *current* run: any
-section reporting both budget_bytes and peak_resident_bytes (the
-streaming_spill workload) fails the check when the peak resident set
-exceeds the requested budget by more than --rss-tolerance (default 15%)
-— the spill machinery must actually honor its memory budget, not just
-stay fast.
+Additionally audits the memory-budget sections of the *current* run:
+any section reporting both budget_bytes and peak_resident_bytes (the
+ruledict_budget workload) fails the check when the peak chunk cell bytes
+exceed the requested budget by more than --rss-tolerance (default 15%)
+— the budget's chunk cap must actually bound the chunk, not just stay
+fast.
 
 With --wal, additionally audits the durable-streaming section of the
 *current* run: streaming_wal (the chunked pipeline journaling every
@@ -34,11 +38,11 @@ cache) must keep its rows/s within --ruledict-tolerance (default 15%)
 of ruledict_inram, the same chase over the in-RAM compiled index
 measured seconds earlier in the same process — the mmap seam must cost
 (nearly) nothing once warm. And ruledict_budget (corpus-scale
-dictionary streamed under a spill budget) must keep the RSS the run
+dictionary streamed under a memory budget) must keep the RSS the run
 itself added (rss_delta_bytes, measured from a reset VmHWM) below its
 dictionary's file size — the corpus must stay on disk, not become
 resident; its peak_resident_bytes/budget_bytes pair is gated by the
-standing memory-budget audit like any spilled section.
+standing memory-budget audit.
 
 With --daemon, additionally audits the daemon_overhead section of the
 *current* run (docs/serving.md): daemon_rows_per_sec (the hosp batch
@@ -56,7 +60,7 @@ must be a JSON object carrying "event" and "t_ms", the journal must open
 with journal_open and contain at least one heartbeat, t_ms and the
 heartbeat rows counter must be nondecreasing, chunk rows_total must be
 nondecreasing within each streaming section, and any sample reporting a
-spill budget must keep peak_resident_bytes within the same
+memory budget must keep peak_resident_bytes within the same
 --rss-tolerance gate as the BENCH_repair.json audit.
 
 Usage:
@@ -72,6 +76,11 @@ Or via the CMake target, which regenerates the current file first:
 import argparse
 import json
 import sys
+
+# Sections whose throughput is set by the probe kernel: gated only
+# against a baseline recorded with the same workload.simd_kernel.
+KERNEL_BOUND_SECTIONS = {"serial_nomemo_simd", "ruledict_cold",
+                         "ruledict_inram", "ruledict_warm"}
 
 
 def load(path):
@@ -148,7 +157,7 @@ def check_journal(path, rss_tolerance):
                                 f"({rows_total} < {last_rows_total})")
             last_chunk_index = index
             last_rows_total = rows_total
-        # Any sample reporting a spill budget must honor it — the same
+        # Any sample reporting a memory budget must honor it — the same
         # gate the BENCH_repair.json audit applies.
         budget = event.get("budget_bytes", 0)
         peak = event.get("peak_resident_bytes")
@@ -218,9 +227,15 @@ def main():
 
     failures = []
     checked = 0
+    base_kernel = baseline.get("workload", {}).get("simd_kernel")
+    cur_kernel = current.get("workload", {}).get("simd_kernel")
     for section in sorted(baseline):
         entries = baseline[section]
         if not isinstance(entries, dict):
+            continue
+        if section in KERNEL_BOUND_SECTIONS and cur_kernel != base_kernel:
+            print(f"      skip  {section}: kernel {cur_kernel} vs "
+                  f"baseline {base_kernel}")
             continue
         for key in sorted(entries):
             if "rows_per_sec" not in key:
@@ -241,8 +256,8 @@ def main():
                   f"baseline {base_value:,.0f} rows/s, "
                   f"current {cur_value:,.0f} rows/s ({delta:+.1f}%)")
 
-    # Memory-budget audit: the current run's spilled workloads must keep
-    # their peak resident set within the budget they were asked to honor.
+    # Memory-budget audit: the current run's budgeted workloads must keep
+    # their peak chunk cells within the budget they were asked to honor.
     rss_failures = []
     for section in sorted(current):
         entries = current[section]
@@ -430,8 +445,8 @@ def main():
     if rss_failures:
         print()
         print("=" * 64)
-        print(f"MEMORY BUDGET VIOLATION: {len(rss_failures)} spilled "
-              f"workload(s) exceeded their resident budget by more than "
+        print(f"MEMORY BUDGET VIOLATION: {len(rss_failures)} budgeted "
+              f"workload(s) exceeded their budget by more than "
               f"{args.rss_tolerance:.0%}:")
         for section, budget, peak, over in rss_failures:
             print(f"  {section}: budget {budget:,.0f} B, peak "

@@ -28,7 +28,7 @@
 //   fixrep_cli repair    --rules rules.txt --in dirty.csv --out fixed.csv
 //                        [--engine lrepair|crepair] [--threads N]
 //                        [--log] [--stream] [--chunk-rows N]
-//                        [--memory-budget SIZE] [--prune]
+//                        [--memory-budget SIZE]
 //                        [--on-error=abort|skip|quarantine]
 //                        [--quarantine-out q.csv] [--max-chase-steps N]
 //                        [--wal wal.bin] [--resume]
@@ -59,14 +59,9 @@
 //                        proportional to one chunk; the output CSV and
 //                        quarantine file are byte-identical to the
 //                        whole-table run (lrepair engine only).
-//                        --memory-budget=64MB (K/M/G suffixes) spills
-//                        chunk cell blocks past the budget to a
-//                        temp-backed mmap file; without --chunk-rows the
-//                        whole input becomes one spilling chunk, so the
-//                        budget alone bounds resident cell memory.
-//                        --prune interns only rule-mentioned columns and
-//                        passes the rest through verbatim (--stream
-//                        only; output is byte-identical).
+//                        --memory-budget=64MB (K/M/G suffixes) caps the
+//                        chunk so its cells fit in the budget:
+//                        min(chunk rows, budget / (columns * 4 bytes)).
 //                        --wal journals every committed chunk to a
 //                        write-ahead log (--stream only), fsynced before
 //                        the chunk's rows are emitted; after a crash,
@@ -707,11 +702,6 @@ int RepairStream(const Args& args, RepairConfig config) {
   load.reset();
 
   config.quarantine = quarantining ? &tuple_sink : nullptr;
-  if (!args.Has("chunk-rows") && config.memory_budget_bytes > 0) {
-    // A budget with no explicit chunking means "let the spill file, not
-    // the chunk size, bound memory": one whole-file chunk.
-    config.chunk_rows = RepairConfig::kWholeFile;
-  }
   if (config.resume && config.wal_path.empty()) {
     std::cerr << "--resume requires --wal=PATH\n";
     return 2;
@@ -761,13 +751,10 @@ int RepairStream(const Args& args, RepairConfig config) {
   }
   if (config.memory_budget_bytes > 0) {
     std::cout << "memory budget " << config.memory_budget_bytes
-              << " bytes: peak resident cell blocks "
-              << result.peak_resident_bytes << " bytes\n";
+              << " bytes: ";
   }
-  if (result.columns_pruned > 0) {
-    std::cout << "pruned " << result.columns_pruned
-              << " columns never mentioned by a rule\n";
-  }
+  std::cout << "peak chunk cells " << result.peak_resident_bytes
+            << " bytes\n";
   PrintOnErrorSummary(args, policy, result.tuples_quarantined);
   return 0;
 }

@@ -183,8 +183,6 @@ void HeartbeatSampler::Sample(bool final_sample) {
   const int64_t resident = gauge("fixrep.progress.resident_bytes");
   const int64_t peak_resident = gauge("fixrep.progress.peak_resident_bytes");
   const int64_t budget = gauge("fixrep.progress.budget_bytes");
-  const int64_t spilled_blocks = gauge("fixrep.progress.spilled_blocks");
-  const int64_t spill_file = gauge("fixrep.progress.spill_file_bytes");
 
   if (options_.journal != nullptr) {
     TelemetryEvent event("heartbeat");
@@ -199,9 +197,7 @@ void HeartbeatSampler::Sample(bool final_sample) {
     if (budget > 0 || resident > 0) {
       event.Set("resident_bytes", resident)
           .Set("peak_resident_bytes", peak_resident)
-          .Set("budget_bytes", budget)
-          .Set("spilled_blocks", spilled_blocks)
-          .Set("spill_file_bytes", spill_file);
+          .Set("budget_bytes", budget);
     }
     // Registry delta: counters that moved since the previous heartbeat,
     // namespaced so replay tools can ignore or aggregate them.

@@ -207,13 +207,9 @@ bool CsvChunkReader::ScanQuotedRecord(std::string* raw, bool* unterminated) {
   return true;
 }
 
-StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
-                                           ColumnSidecar* sidecar) {
+StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows) {
   FIXREP_CHECK(chunk != nullptr);
   FIXREP_CHECK_EQ(chunk->num_columns(), schema_->arity());
-  if (sidecar != nullptr) {
-    FIXREP_CHECK_EQ(sidecar->columns.size(), schema_->arity());
-  }
   const bool lenient = options_.on_error != OnErrorPolicy::kAbort;
   // Raw text is only captured when a record can end up quarantined.
   std::string* raw =
@@ -251,16 +247,7 @@ StatusOr<size_t> CsvChunkReader::ReadChunk(Table* chunk, size_t max_rows,
       ++record_;
       continue;
     }
-    if (sidecar == nullptr) {
-      chunk->AppendRowViews(fields_);
-    } else {
-      chunk->AppendRowViewsMasked(fields_, sidecar->materialized);
-      for (size_t a = 0; a < fields_.size(); ++a) {
-        if (sidecar->pruned(static_cast<AttrId>(a))) {
-          sidecar->columns[a].emplace_back(fields_[a]);
-        }
-      }
-    }
+    chunk->AppendRowViews(fields_);
     ++record_;
     ++appended;
   }
@@ -346,9 +333,8 @@ class CsvRenderer {
     EndRow();
   }
 
-  // Rows [begin_row, num_rows); pruned cells come from `sidecar`.
-  void Rows(const Table& table, size_t begin_row,
-            const ColumnSidecar* sidecar) {
+  // Rows [begin_row, num_rows).
+  void Rows(const Table& table, size_t begin_row) {
     const ValuePool& pool = table.pool();
     // Per ValueId: 0 = not yet seen, 1 = verbatim, 2 = quoted.
     quoting_.assign(pool.size(), 0);
@@ -357,10 +343,6 @@ class CsvRenderer {
       const TupleRef row = table.row(r);
       for (size_t a = 0; a < arity; ++a) {
         if (a > 0) text_->push_back(',');
-        if (sidecar != nullptr && sidecar->pruned(static_cast<AttrId>(a))) {
-          AppendCsvField(text_, sidecar->columns[a][r]);
-          continue;
-        }
         const ValueId id = row[a];
         if (id == kNullValue) continue;
         const std::string& value = pool.GetString(id);
@@ -405,34 +387,21 @@ void WriteCsvHeader(const Schema& schema, std::ostream& out) {
 
 void WriteCsvRows(const Table& table, std::ostream& out, size_t begin_row) {
   CsvRenderer renderer(&out);
-  renderer.Rows(table, begin_row, /*sidecar=*/nullptr);
-  renderer.Flush();
-}
-
-void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
-                        std::ostream& out) {
-  FIXREP_CHECK_EQ(sidecar.columns.size(), table.num_columns());
-  for (size_t a = 0; a < table.num_columns(); ++a) {
-    if (sidecar.pruned(static_cast<AttrId>(a))) {
-      FIXREP_CHECK_EQ(sidecar.columns[a].size(), table.num_rows());
-    }
-  }
-  CsvRenderer renderer(&out);
-  renderer.Rows(table, /*begin_row=*/0, &sidecar);
+  renderer.Rows(table, begin_row);
   renderer.Flush();
 }
 
 void WriteCsv(const Table& table, std::ostream& out) {
   CsvRenderer renderer(&out);
   renderer.Header(table.schema());
-  renderer.Rows(table, /*begin_row=*/0, /*sidecar=*/nullptr);
+  renderer.Rows(table, /*begin_row=*/0);
   renderer.Flush();
 }
 
 void WriteCsv(const Table& table, std::string* out) {
   CsvRenderer renderer(out);
   renderer.Header(table.schema());
-  renderer.Rows(table, /*begin_row=*/0, /*sidecar=*/nullptr);
+  renderer.Rows(table, /*begin_row=*/0);
 }
 
 Status TryWriteCsvFile(const Table& table, const std::string& path) {

@@ -44,37 +44,6 @@ struct CsvReadOptions {
   QuarantineSink* quarantine = nullptr;
 };
 
-// Column-pruning sidecar (docs/storage.md): the raw field text of every
-// column NOT in `materialized`, carried outside the table so pruned
-// columns are never interned into the ValuePool. `columns` is
-// arity-sized; entry a holds one string per appended row when attribute
-// a is pruned and stays empty when it is materialized. Feed it to
-// CsvChunkReader::ReadChunk and hand it back to WriteCsvRowsPruned —
-// the round trip re-emits the parsed fields verbatim, so output is
-// byte-identical to the unpruned path.
-struct ColumnSidecar {
-  AttrSet materialized;
-  std::vector<std::vector<std::string>> columns;
-
-  // Sizes the sidecar for an arity-attribute schema keeping `materialize`.
-  void Init(size_t arity, AttrSet materialize) {
-    materialized = materialize;
-    columns.assign(arity, {});
-  }
-  // Drops all rows, keeping allocations (streaming chunk reuse).
-  void Clear() {
-    for (auto& column : columns) column.clear();
-  }
-  bool pruned(AttrId attr) const { return !materialized.Contains(attr); }
-  size_t num_pruned() const {
-    size_t n = 0;
-    for (size_t a = 0; a < columns.size(); ++a) {
-      if (pruned(static_cast<AttrId>(a))) ++n;
-    }
-    return n;
-  }
-};
-
 // Incremental CSV reader: parses the header eagerly at Open, then hands
 // out data records in chunks of at most `max_rows`, applying the same
 // lenient error policy as ReadCsvLenient. Record ordinals (and thus
@@ -116,14 +85,7 @@ class CsvChunkReader {
   // input. Malformed records follow the open options: kAbort returns
   // their error, kSkip/kQuarantine drop them (they count toward the
   // record ordinal but not toward the returned row count).
-  //
-  // With a non-null `sidecar` (column pruning), only
-  // sidecar->materialized columns are interned into the chunk; the rest
-  // land in the sidecar as raw field text and the chunk stores
-  // kNullValue in their cells. A record must still parse whole — arity
-  // checks are unaffected by pruning.
-  StatusOr<size_t> ReadChunk(Table* chunk, size_t max_rows,
-                             ColumnSidecar* sidecar = nullptr);
+  StatusOr<size_t> ReadChunk(Table* chunk, size_t max_rows);
 
   bool at_end() const { return at_end_; }
   // Data records consumed so far, including dropped ones.
@@ -227,12 +189,6 @@ void WriteCsv(const Table& table, std::string* out);
 void WriteCsvHeader(const Schema& schema, std::ostream& out);
 void WriteCsvRows(const Table& table, std::ostream& out,
                   size_t begin_row = 0);
-
-// Row emission for a column-pruned chunk: materialized cells render from
-// the pool, pruned cells from the sidecar's raw text. Byte-identical to
-// WriteCsvRows over an unpruned read of the same records.
-void WriteCsvRowsPruned(const Table& table, const ColumnSidecar& sidecar,
-                        std::ostream& out);
 
 // Writes, flushes, and verifies the stream so short writes (disk full,
 // revoked mount) surface as kIoError instead of silently truncating.

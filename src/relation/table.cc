@@ -32,17 +32,6 @@ void Table::AppendRowStrings(const std::vector<std::string>& fields) {
   AppendRowViews(std::vector<std::string_view>(fields.begin(), fields.end()));
 }
 
-void Table::AppendRowViewsMasked(std::span<const std::string_view> fields,
-                                 AttrSet materialize) {
-  FIXREP_CHECK_EQ(fields.size(), schema_->arity());
-  const TupleSpan row = store_.AppendRowUninit();
-  for (size_t i = 0; i < fields.size(); ++i) {
-    row[i] = materialize.Contains(static_cast<AttrId>(i))
-                 ? pool_->Intern(fields[i])
-                 : kNullValue;
-  }
-}
-
 const std::string& Table::CellString(size_t row, AttrId attr) const {
   // Function-local static: one empty string for every table and every
   // null cell, alive for the whole process, so the returned reference

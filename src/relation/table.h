@@ -58,12 +58,6 @@ class Table {
   void AppendRowViews(std::span<const std::string_view> fields);
   void AppendRowStrings(const std::vector<std::string>& fields);
 
-  // Column-pruned append: interns only the fields whose attribute is in
-  // `materialize`; every other cell is stored as kNullValue and its raw
-  // field text is the caller's to carry (relation/csv.h ColumnSidecar).
-  void AppendRowViewsMasked(std::span<const std::string_view> fields,
-                            AttrSet materialize);
-
   // Cell accessors by interned id and by string.
   ValueId cell(size_t row, AttrId attr) const {
     return store_.cell(row, static_cast<size_t>(attr));
@@ -81,14 +75,8 @@ class Table {
   // Drops all rows, keeping the allocation (streaming chunk reuse).
   void Clear() { store_.Clear(); }
 
-  // Switches this (empty) table's row store out-of-core with the given
-  // resident budget; see RowStore::EnableSpill.
-  Status EnableSpill(size_t resident_budget_bytes) {
-    return store_.EnableSpill(resident_budget_bytes);
-  }
-  // Direct store access for block-wise drivers (pinning, telemetry).
-  RowStore& store() { return store_; }
-  const RowStore& store() const { return store_; }
+  // Heap footprint of the cell storage (RowStore::bytes).
+  size_t cell_bytes() const { return store_.bytes(); }
 
   // True when both tables hold identical cells in identical order
   // (schema/pool identity is not compared).

@@ -28,8 +28,8 @@ namespace fixrep {
 // order after the join.
 //
 // One driver is built per RepairSession::Repair / RepairStream call and
-// reused across every streamed chunk and pinned spill block, so its
-// scratch amortizes over the whole run.
+// reused across every streamed chunk, so its scratch amortizes over the
+// whole run.
 struct RepairDriverOptions {
   // 1 = serial on the calling thread; 0 = the pool's full width (caller
   // plus every pool worker); > 1 = that many participants, capped at the
@@ -72,8 +72,7 @@ class RepairDriver {
 
   // Repairs rows [begin, end) of `table` in place. Failed tuples are
   // counted into fixrep.quarantine.tuples. Call from one thread at a
-  // time; the table's rows in the range must stay addressable (pin
-  // spilled blocks first when threads() > 1).
+  // time; nothing may append to the table meanwhile.
   RangeOutcome RepairRows(Table* table, size_t begin, size_t end);
 
   // Publishes the fixrep.lrepair.* work done since the last flush, from

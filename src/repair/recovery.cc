@@ -336,7 +336,8 @@ Status ValidateWalHeader(const WalRunHeader& header,
         "WAL was written with chunk_rows=" +
         std::to_string(header.chunk_rows) + ", this run uses " +
         std::to_string(chunk_rows) +
-        "; chunk boundaries must match to resume");
+        " (after any memory-budget cap); chunk boundaries must match to "
+        "resume");
   }
   if (header.on_error != static_cast<uint8_t>(on_error)) {
     return Status::MalformedInput(

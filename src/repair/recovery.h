@@ -79,6 +79,8 @@ struct WalRunHeader {
   // FNV-1a over the serialized rule set (RuleSetFingerprint).
   uint64_t rule_fingerprint = 0;
   std::vector<std::string> attribute_names;
+  // The chunk size the run used, after any memory-budget cap
+  // (ChunkRowsForBudget).
   uint64_t chunk_rows = 0;
   uint8_t on_error = 0;  // OnErrorPolicy, numeric
 
@@ -176,7 +178,8 @@ struct RecoveredRun {
 StatusOr<RecoveredRun> ScanWal(const std::string& path);
 
 // Refuses a header that does not describe the live run. `chunk_rows`
-// and `on_error` mismatches break replay determinism; a fingerprint or
+// (the live run's capped chunk size) and `on_error` mismatches break
+// replay determinism; a fingerprint or
 // schema mismatch means the WAL belongs to different rules or data.
 Status ValidateWalHeader(const WalRunHeader& header,
                          uint64_t rule_fingerprint,

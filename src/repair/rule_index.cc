@@ -37,7 +37,6 @@ CompiledRuleIndex::CompiledRuleIndex(const RuleSet* rules) : rules_(rules) {
     target_[i] = rule.target;
     fact_[i] = rule.fact;
     assured_bits_[i] = rule.AssuredSet().bits();
-    mentioned_attrs_.UnionWith(rule.AssuredSet());
     // CSR-pack the full patterns for MatchesFlat. negative_patterns is
     // sorted/deduped by Validate(), so the packed slice binary-searches.
     ev_offsets_.push_back(static_cast<uint32_t>(ev_attrs_.size()));
@@ -99,7 +98,6 @@ CompiledRuleIndex::CompiledRuleIndex(const RuleSet* rules) : rules_(rules) {
   init.num_empty_evidence_rules = empty_evidence_rules_.size();
   init.evidence_attr_list = evidence_attr_list_.data();
   init.num_evidence_attrs = evidence_attr_list_.size();
-  init.mentioned_attrs = mentioned_attrs_;
   init.num_rules = n;
   init.arity = arity_;
   view_ = RuleSource(init);

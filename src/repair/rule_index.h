@@ -116,12 +116,6 @@ class CompiledRuleIndex : public RuleRepository {
     return evidence_attr_list_;
   }
 
-  // Union of every rule's evidence and target attributes — the attribute
-  // closure the chase can ever read or write. Columns outside this set
-  // are invisible to repair, which is what makes streaming column
-  // pruning (repair/streaming.h) safe.
-  AttrSet mentioned_attrs() const override { return mentioned_attrs_; }
-
   size_t num_keys() const { return num_keys_; }
   size_t num_postings() const { return postings_.size(); }
   // Total heap footprint of the compiled structures, in bytes.
@@ -149,7 +143,6 @@ class CompiledRuleIndex : public RuleRepository {
   std::vector<uint32_t> neg_offsets_;
   std::vector<ValueId> neg_values_;
   std::vector<AttrId> evidence_attr_list_;
-  AttrSet mentioned_attrs_;
   RuleSource view_;  // spans over the vectors above, wired in the ctor
 
   mutable std::once_flag fingerprint_once_;

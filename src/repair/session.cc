@@ -1,5 +1,6 @@
 #include "repair/session.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/logging.h"
@@ -12,6 +13,14 @@
 #include "repair/streaming.h"
 
 namespace fixrep {
+
+size_t ChunkRowsForBudget(size_t chunk_rows, size_t memory_budget_bytes,
+                          size_t arity) {
+  if (memory_budget_bytes == 0 || arity == 0) return chunk_rows;
+  const size_t row_bytes = arity * sizeof(ValueId);
+  return std::min(chunk_rows,
+                  std::max<size_t>(1, memory_budget_bytes / row_bytes));
+}
 
 RepairSession::RepairSession(const RuleSet* rules, const RepairConfig& config)
     : rules_(rules), config_(config) {
@@ -171,14 +180,25 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   if (!backend.ok()) return backend.status();
   const RuleRepository* repo = backend.value();
 
+  // The one place a config meets the schema's arity: the budget becomes
+  // a chunk-size cap here, and the WAL journals the capped size.
+  const size_t chunk_rows = ChunkRowsForBudget(
+      config_.chunk_rows, config_.memory_budget_bytes,
+      reader->schema()->arity());
+  // A heartbeat pairs these gauges, so the previous run's residency is
+  // cleared before this run's budget appears beside it.
+  MetricsRegistry& registry = CurrentMetrics();
+  registry.GetGauge("fixrep.progress.resident_bytes")->Set(0);
+  registry.GetGauge("fixrep.progress.peak_resident_bytes")->Set(0);
+  registry.GetGauge("fixrep.progress.budget_bytes")
+      ->Set(static_cast<int64_t>(config_.memory_budget_bytes));
+
   StreamingRepairOptions options;
-  options.chunk_rows = config_.chunk_rows;
+  options.chunk_rows = chunk_rows;
   options.repair.threads = config_.threads;
   options.repair.on_error = config_.on_error;
   options.repair.quarantine = config_.quarantine;
   options.repair.max_chase_steps = config_.max_chase_steps;
-  options.memory_budget_bytes = config_.memory_budget_bytes;
-  options.prune_columns = config_.prune_columns;
 
   // Durable run: open (or resume) the WAL before any row is repaired.
   // The journal pointer is borrowed by the streaming session; keeping
@@ -195,7 +215,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
       recovered = std::move(scanned.value());
       FIXREP_RETURN_IF_ERROR(ValidateWalHeader(
           recovered.header, fingerprint, reader->schema()->attribute_names(),
-          config_.chunk_rows, config_.on_error));
+          chunk_rows, config_.on_error));
       StatusOr<ChunkJournal> resumed =
           ChunkJournal::Resume(config_.wal_path, recovered.durable_bytes);
       if (!resumed.ok()) return resumed.status();
@@ -205,7 +225,7 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
       WalRunHeader header;
       header.rule_fingerprint = fingerprint;
       header.attribute_names = reader->schema()->attribute_names();
-      header.chunk_rows = config_.chunk_rows;
+      header.chunk_rows = chunk_rows;
       header.on_error = static_cast<uint8_t>(config_.on_error);
       StatusOr<ChunkJournal> created =
           ChunkJournal::Create(config_.wal_path, header);
@@ -226,7 +246,6 @@ StatusOr<RepairReport> RepairSession::RepairStream(CsvChunkReader* reader,
   report.tuples_quarantined = result.value().tuples_quarantined;
   report.chunks = result.value().chunks;
   report.peak_resident_bytes = result.value().peak_resident_bytes;
-  report.columns_pruned = result.value().columns_pruned;
   return report;
 }
 

@@ -25,9 +25,9 @@ namespace fixrep {
 // engine, a width, an error policy, and (for streams) the memory and
 // durability knobs in one RepairConfig. Every lRepair call builds one
 // RepairDriver (repair/driver.h) — the row-range kernel over the shared
-// rule backend — and runs the whole table, or each streamed chunk and
-// pinned spill block, through it. cRepair (ChaseRepairer) is the serial
-// reference chase, kept for cross-validation.
+// rule backend — and runs the whole table, or each streamed chunk,
+// through it. cRepair (ChaseRepairer) is the serial reference chase,
+// kept for cross-validation.
 
 // Which repair algorithm drives the chase.
 enum class RepairEngine {
@@ -64,16 +64,12 @@ struct RepairConfig {
   size_t max_chase_steps = 0;
 
   // --- streaming-only knobs (RepairStream) ---
-  // Rows per chunk. kWholeFile reads the entire input as one chunk
-  // (useful with a memory budget: spilling, not chunking, bounds RAM).
+  // Rows per chunk. kWholeFile reads the entire input as one chunk.
   static constexpr size_t kWholeFile = ~size_t{0};
   size_t chunk_rows = size_t{64} * 1024;
-  // > 0: chunk cell blocks past this many resident bytes spill to a
-  // temp-backed mmap file (relation/row_store.h).
+  // > 0: caps the chunk so its cells fit in this many bytes
+  // (ChunkRowsForBudget). Output is the same for every chunk size.
   size_t memory_budget_bytes = 0;
-  // Intern only rule-mentioned columns; pass the rest through as raw
-  // CSV text (byte-identical output either way).
-  bool prune_columns = false;
 
   // --- durability (docs/durability.md) ---
   // Non-empty: journal every committed chunk of RepairStream to this
@@ -102,9 +98,18 @@ struct RepairReport {
   size_t tuples_quarantined = 0;
   // Streaming only:
   size_t chunks = 0;
-  size_t peak_resident_bytes = 0;  // spill mode high-water mark
-  size_t columns_pruned = 0;
+  // High-water mark of the chunk table's cell bytes (RowStore::bytes):
+  // at most memory_budget_bytes rounded up to one RowStore block.
+  size_t peak_resident_bytes = 0;
 };
+
+// The chunk size a stream runs with: `chunk_rows`, capped so one chunk's
+// cells fit in `memory_budget_bytes` —
+// min(chunk_rows, max(1, budget / (arity * sizeof(ValueId)))). No budget
+// (0) or no columns (arity 0) leaves chunk_rows as it is. The WAL header
+// records this value, so a resume must arrive at the same one.
+size_t ChunkRowsForBudget(size_t chunk_rows, size_t memory_budget_bytes,
+                          size_t arity);
 
 class RepairSession {
  public:

@@ -12,28 +12,25 @@
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "relation/row_store.h"
 
 namespace fixrep {
 
 namespace {
 
 // Rows between live fixrep.progress.rows publications. Small enough that
-// an endpoint scrape mid-chunk sees movement even in whole-file spill
-// mode (where one "chunk" is the entire input), large enough to keep the
-// counter off the per-tuple path.
+// an endpoint scrape mid-chunk sees movement even in a large chunk,
+// large enough to keep the counter off the per-tuple path.
 constexpr size_t kProgressStride = 2048;
 
 // Live progress state, published from the calling thread only. Counters
 // are cumulative across the run; gauges reflect the latest chunk.
+// fixrep.progress.budget_bytes belongs to RepairSession::RepairStream,
+// which owns the memory budget.
 struct LiveProgress {
   Counter* rows = nullptr;
   Gauge* chunk = nullptr;
   Gauge* resident = nullptr;
   Gauge* peak_resident = nullptr;
-  Gauge* budget = nullptr;
-  Gauge* spilled_blocks = nullptr;
-  Gauge* spill_file = nullptr;
   Gauge* input_bytes = nullptr;
   size_t pending_rows = 0;
 
@@ -42,9 +39,6 @@ struct LiveProgress {
     chunk = registry->GetGauge("fixrep.progress.chunk");
     resident = registry->GetGauge("fixrep.progress.resident_bytes");
     peak_resident = registry->GetGauge("fixrep.progress.peak_resident_bytes");
-    budget = registry->GetGauge("fixrep.progress.budget_bytes");
-    spilled_blocks = registry->GetGauge("fixrep.progress.spilled_blocks");
-    spill_file = registry->GetGauge("fixrep.progress.spill_file_bytes");
     input_bytes = registry->GetGauge("fixrep.progress.input_bytes_read");
   }
 
@@ -58,34 +52,7 @@ struct LiveProgress {
     rows->Add(pending_rows);
     pending_rows = 0;
   }
-
-  void PublishResidency(const RowStore& store) {
-    resident->Set(static_cast<int64_t>(store.resident_bytes()));
-    peak_resident->Set(static_cast<int64_t>(store.peak_resident_bytes()));
-    budget->Set(static_cast<int64_t>(store.effective_budget_bytes()));
-    spilled_blocks->Set(static_cast<int64_t>(store.spilled_blocks()));
-    spill_file->Set(static_cast<int64_t>(store.spill_file_bytes()));
-  }
 };
-
-// Diagnostic rendering that survives column pruning: pruned cells are
-// kNullValue in the table (FormatRow would show them empty), so their
-// text comes from the sidecar. Failed tuples are restored to their
-// original values before diagnostics are built, so this renders exactly
-// what an unpruned run's FormatRow would.
-std::string FormatRowWithSidecar(const Table& chunk,
-                                 const ColumnSidecar* sidecar, size_t row) {
-  if (sidecar == nullptr) return chunk.FormatRow(row);
-  std::string out = "(";
-  for (size_t a = 0; a < chunk.num_columns(); ++a) {
-    if (a > 0) out += ", ";
-    const AttrId attr = static_cast<AttrId>(a);
-    out += sidecar->pruned(attr) ? sidecar->columns[a][row]
-                                 : chunk.CellString(row, attr);
-  }
-  out += ")";
-  return out;
-}
 
 }  // namespace
 
@@ -111,9 +78,7 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   FIXREP_LOG(Debug) << "streaming repair"
                     << Kv("chunk_rows", options_.chunk_rows)
                     << Kv("threads", options_.repair.threads)
-                    << Kv("rules", repo_->num_rules())
-                    << Kv("budget_bytes", options_.memory_budget_bytes)
-                    << Kv("prune", options_.prune_columns ? 1 : 0);
+                    << Kv("rules", repo_->num_rules());
 
   // Journaling scratch: the chunk's rule-attributed deltas (chunk-local
   // rows, from the driver's write log) and its tuple diagnostics, both
@@ -146,31 +111,24 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
 
   StreamingRepairResult result;
   Table chunk = reader->MakeChunkTable();
-  const bool spilling = options_.memory_budget_bytes > 0;
-  if (spilling) {
-    const Status enabled = chunk.EnableSpill(options_.memory_budget_bytes);
-    if (!enabled.ok()) return enabled;
-  } else {
-    // Pre-size only sensible chunk sizes; a whole-file sentinel like
-    // SIZE_MAX must not try to reserve.
-    chunk.Reserve(std::min(options_.chunk_rows, size_t{1} << 20));
-  }
-
-  // Column pruning: intern only the attribute closure the rules can
-  // touch; everything else rides in the sidecar as raw text.
-  const AttrSet materialize =
-      options_.prune_columns ? repo_->mentioned_attrs()
-                             : AttrSet::All(repo_->arity());
-  ColumnSidecar sidecar_storage;
-  sidecar_storage.Init(repo_->arity(), materialize);
-  ColumnSidecar* sidecar =
-      options_.prune_columns && sidecar_storage.num_pruned() > 0
-          ? &sidecar_storage
-          : nullptr;
-  result.columns_pruned = sidecar != nullptr ? sidecar->num_pruned() : 0;
+  // Pre-size only sensible chunk sizes; a whole-file sentinel like
+  // SIZE_MAX must not try to reserve. The store keeps this allocation
+  // across chunks (Clear), so a chunk that fits never regrows it.
+  chunk.Reserve(std::min(options_.chunk_rows, size_t{1} << 20));
 
   auto& registry = CurrentMetrics();
   LiveProgress progress(&registry);
+  // Publishes the chunk's cell bytes; called after the reservation and
+  // after every chunk read (a read only grows the store past a chunk
+  // size too large to reserve up front).
+  auto note_residency = [&] {
+    const size_t bytes = chunk.cell_bytes();
+    result.peak_resident_bytes = std::max(result.peak_resident_bytes, bytes);
+    progress.resident->Set(static_cast<int64_t>(bytes));
+    progress.peak_resident->Set(
+        static_cast<int64_t>(result.peak_resident_bytes));
+  };
+  note_residency();
 
   // Repairs chunk rows [begin, end), accumulating totals (and
   // diagnostics at global row indices) into `result`. `base_row` is the
@@ -185,13 +143,8 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       result.tuples_quarantined += outcome.tuples_quarantined;
       progress.AddRows(sub_end - sub);
     }
-    // Failed tuples are restored, so re-rendering through the sidecar
-    // reproduces the original values of pruned columns.
     for (const Diagnostic& d : range_sink.diagnostics()) {
-      Diagnostic rebased{
-          base_row + d.line, d.code, d.message,
-          sidecar == nullptr ? d.raw_text
-                             : FormatRowWithSidecar(chunk, sidecar, d.line)};
+      Diagnostic rebased{base_row + d.line, d.code, d.message, d.raw_text};
       options_.repair.quarantine->Add(rebased);
       if (journaling) chunk_diags.push_back(std::move(rebased));
     }
@@ -217,14 +170,12 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         options_.resume->header.version >= kCsvQuarantineWalVersion;
     for (const WalChunk& durable : options_.resume->chunks) {
       chunk.Clear();
-      if (sidecar != nullptr) sidecar->Clear();
       QuarantineSink* live_sink = nullptr;
       if (validate_csv) {
         csv_capture.Clear();
         live_sink = reader->SwapQuarantine(&csv_capture);
       }
-      StatusOr<size_t> read =
-          reader->ReadChunk(&chunk, options_.chunk_rows, sidecar);
+      StatusOr<size_t> read = reader->ReadChunk(&chunk, options_.chunk_rows);
       if (validate_csv) {
         reader->SwapQuarantine(live_sink);
       }
@@ -280,11 +231,8 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
         registry.GetCounter("fixrep.quarantine.tuples")
             ->Add(durable.tuples_quarantined);
       }
-      if (sidecar != nullptr) {
-        WriteCsvRowsPruned(chunk, *sidecar, out);
-      } else {
-        WriteCsvRows(chunk, out);
-      }
+      note_residency();
+      WriteCsvRows(chunk, out);
       ++result.chunks;
       result.rows_emitted += chunk.num_rows();
       result.cells_changed += durable.cells_changed;
@@ -311,14 +259,12 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
 
   while (true) {
     chunk.Clear();
-    if (sidecar != nullptr) sidecar->Clear();
     QuarantineSink* live_sink = nullptr;
     if (journal_csv) {
       csv_capture.Clear();
       live_sink = reader->SwapQuarantine(&csv_capture);
     }
-    StatusOr<size_t> read =
-        reader->ReadChunk(&chunk, options_.chunk_rows, sidecar);
+    StatusOr<size_t> read = reader->ReadChunk(&chunk, options_.chunk_rows);
     if (journal_csv) {
       reader->SwapQuarantine(live_sink);
       // The capture must be invisible to the caller's sink.
@@ -340,29 +286,9 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
     chunk_diags.clear();
     const uint64_t chunk_start_ns = TraceNowNanos();
     progress.chunk->Set(static_cast<int64_t>(result.chunks));
+    note_residency();
 
-    if (driver.threads() > 1 && chunk.store().spilling()) {
-      // Pooled workers must never race a block state transition, so a
-      // multi-threaded run drives a spilling chunk block-wise: pin a
-      // block, make it writable once, repair exactly its rows, unpin.
-      // Worker row views then live entirely inside an addressable,
-      // pinned block.
-      RowStore& store = chunk.store();
-      for (size_t b = 0; b < store.num_blocks(); ++b) {
-        store.PinBlock(b);
-        store.MakeBlockWritable(b);
-        const size_t begin = b * RowStore::kRowsPerBlock;
-        repair_range(begin, begin + store.rows_in_block(b),
-                     result.rows_emitted);
-        store.UnpinBlock(b);
-        // Block-granularity residency so a scrape mid-chunk (one chunk
-        // may be the whole input in spill mode) sees live values.
-        progress.FlushRows();
-        progress.PublishResidency(store);
-      }
-    } else {
-      repair_range(0, chunk.num_rows(), result.rows_emitted);
-    }
+    repair_range(0, chunk.num_rows(), result.rows_emitted);
     driver.FlushMetrics();
 
     // Commit the chunk to the WAL BEFORE emitting its rows: once a row
@@ -417,17 +343,9 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
       }
     }
 
-    if (sidecar != nullptr) {
-      WriteCsvRowsPruned(chunk, *sidecar, out);
-    } else {
-      WriteCsvRows(chunk, out);
-    }
+    WriteCsvRows(chunk, out);
     result.rows_emitted += chunk.num_rows();
-    result.peak_resident_bytes =
-        std::max(result.peak_resident_bytes,
-                 chunk.store().peak_resident_bytes());
     progress.FlushRows();
-    progress.PublishResidency(chunk.store());
     if (TelemetryJournal* journal = GetGlobalJournal()) {
       const uint64_t duration_ns = TraceNowNanos() - chunk_start_ns;
       TelemetryEvent event("chunk");
@@ -437,14 +355,9 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
           .Set("cells_changed_total",
                static_cast<uint64_t>(result.cells_changed))
           .Set("duration_ns", duration_ns)
-          .Set("resident_bytes",
-               static_cast<uint64_t>(chunk.store().resident_bytes()))
+          .Set("resident_bytes", static_cast<uint64_t>(chunk.cell_bytes()))
           .Set("peak_resident_bytes",
-               static_cast<uint64_t>(chunk.store().peak_resident_bytes()))
-          .Set("budget_bytes",
-               static_cast<uint64_t>(chunk.store().effective_budget_bytes()))
-          .Set("spilled_blocks",
-               static_cast<uint64_t>(chunk.store().spilled_blocks()));
+               static_cast<uint64_t>(result.peak_resident_bytes));
       if (duration_ns > 0) {
         event.Set("rows_per_s", static_cast<double>(chunk.num_rows()) * 1e9 /
                                     static_cast<double>(duration_ns));
@@ -456,10 +369,6 @@ StatusOr<StreamingRepairResult> StreamingRepairSession::Run(
   progress.FlushRows();
   registry.GetCounter("fixrep.streaming.chunks")->Add(result.chunks);
   registry.GetCounter("fixrep.streaming.rows")->Add(result.rows_emitted);
-  if (sidecar != nullptr) {
-    registry.GetCounter("fixrep.streaming.columns_pruned")
-        ->Add(result.columns_pruned);
-  }
   FIXREP_LOG(Debug) << "streaming repair done"
                     << Kv("rows", result.rows_emitted)
                     << Kv("chunks", result.chunks)

@@ -35,17 +35,8 @@ namespace fixrep {
 // One RepairDriver (repair/driver.h) is built per run and reused for
 // every chunk, so its per-slot scratch lives across chunk boundaries.
 //
-// Two out-of-core knobs stack on top of chunking:
-// * memory_budget_bytes > 0 puts the chunk table's RowStore in spill
-//   mode (relation/row_store.h): cell blocks past the resident budget
-//   live in a temp-backed mmap file. Multi-threaded runs then repair
-//   block-wise — pin a block, repair exactly its rows, unpin — so
-//   worker views never see a block transition.
-// * prune_columns interns only the attributes some rule mentions
-//   (CompiledRuleIndex::mentioned_attrs); every other column's raw CSV
-//   text bypasses the ValuePool via a ColumnSidecar and is re-emitted
-//   verbatim. The chase never reads or writes an unmentioned column, so
-//   output stays byte-identical to the unpruned run.
+// The chunk size is the only memory knob: RepairSession::RepairStream
+// turns RepairConfig::memory_budget_bytes into a cap on it.
 struct StreamingRepairOptions {
   // Rows per chunk; the peak-memory knob. 64K rows * arity * 4 bytes of
   // cells plus the interned strings.
@@ -60,11 +51,6 @@ struct StreamingRepairOptions {
   //   sink instead.
   // * repair.write_log: ignored; the chunk journal captures its own.
   RepairDriverOptions repair;
-  // > 0: spill chunk cell blocks past this many resident bytes to a
-  // temp-backed file (see class comment). 0 = fully in-memory chunks.
-  size_t memory_budget_bytes = 0;
-  // Intern only rule-mentioned columns; carry the rest as raw text.
-  bool prune_columns = false;
 
   // --- durability (docs/durability.md) ---
   // Non-null: journal each chunk to this WAL as chunk_begin /
@@ -86,11 +72,9 @@ struct StreamingRepairResult {
   size_t chunks = 0;
   size_t cells_changed = 0;
   size_t tuples_quarantined = 0;
-  // High-water mark of resident chunk-store bytes (spill mode only; 0
-  // otherwise). The number the memory budget governs.
+  // High-water mark of the chunk table's cell bytes (RowStore::bytes).
+  // The number a memory budget governs.
   size_t peak_resident_bytes = 0;
-  // Columns never interned thanks to prune_columns.
-  size_t columns_pruned = 0;
 };
 
 class StreamingRepairSession {

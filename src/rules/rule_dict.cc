@@ -566,7 +566,6 @@ RuleSource::Init RuleDict::BaseInit() const {
   init.num_empty_evidence_rules = header_->num_empty_evidence;
   init.evidence_attr_list = evidence_attr_list_;
   init.num_evidence_attrs = header_->num_evidence_attrs;
-  init.mentioned_attrs = mentioned_attrs();
   init.num_rules = header_->num_rules;
   init.arity = header_->arity;
   return init;

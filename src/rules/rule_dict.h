@@ -79,6 +79,8 @@ struct RuleDictHeader {
   uint32_t header_crc = 0;
   uint64_t file_size = 0;
   uint64_t fingerprint = 0;
+  // Union of every rule's evidence and target attributes. No reader
+  // consults it; it stays because it is part of the on-disk format.
   uint64_t mentioned_bits = 0;
   uint32_t num_rules = 0;
   uint32_t arity = 0;
@@ -149,9 +151,6 @@ class RuleDict : public RuleRepository {
   // RuleRepository. MakeHandle requires a successful Bind.
   size_t num_rules() const override { return header_->num_rules; }
   size_t arity() const override { return header_->arity; }
-  AttrSet mentioned_attrs() const override {
-    return AttrSet::FromBits(header_->mentioned_bits);
-  }
   uint64_t fingerprint() const override { return header_->fingerprint; }
   std::unique_ptr<RuleSourceHandle> MakeHandle() const override;
 

@@ -294,10 +294,6 @@ class RuleSource {
     return {evidence_attr_list_, num_evidence_attrs_};
   }
 
-  // Union of every rule's evidence and target attributes — the attribute
-  // closure the chase can ever read or write (streaming column pruning).
-  AttrSet mentioned_attrs() const { return mentioned_attrs_; }
-
   size_t num_rules() const { return num_rules_; }
   size_t arity() const { return arity_; }
 
@@ -322,7 +318,6 @@ class RuleSource {
     size_t num_empty_evidence_rules = 0;
     const AttrId* evidence_attr_list = nullptr;
     size_t num_evidence_attrs = 0;
-    AttrSet mentioned_attrs;
     size_t num_rules = 0;
     size_t arity = 0;
     ValueTranslator* translator = nullptr;
@@ -345,7 +340,6 @@ class RuleSource {
         num_empty_evidence_rules_(init.num_empty_evidence_rules),
         evidence_attr_list_(init.evidence_attr_list),
         num_evidence_attrs_(init.num_evidence_attrs),
-        mentioned_attrs_(init.mentioned_attrs),
         num_rules_(init.num_rules),
         arity_(init.arity),
         translator_(init.translator),
@@ -391,7 +385,6 @@ class RuleSource {
   size_t num_empty_evidence_rules_ = 0;
   const AttrId* evidence_attr_list_ = nullptr;
   size_t num_evidence_attrs_ = 0;
-  AttrSet mentioned_attrs_;
   size_t num_rules_ = 0;
   size_t arity_ = 0;
   ValueTranslator* translator_ = nullptr;
@@ -426,7 +419,6 @@ class RuleRepository {
 
   virtual size_t num_rules() const = 0;
   virtual size_t arity() const = 0;
-  virtual AttrSet mentioned_attrs() const = 0;
   // RuleSetFingerprint of the set this repository compiled
   // (rules/fingerprint.h) — the identity WAL headers journal.
   virtual uint64_t fingerprint() const = 0;

@@ -57,6 +57,8 @@ struct DurableConfig {
   size_t threads = 1;
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
   size_t max_chase_steps = 0;
+  // > 0: caps chunk_rows at budget / (arity * 4 bytes) rows.
+  size_t memory_budget_bytes = 0;
   std::string wal_path;
   bool resume = false;
 };
@@ -84,6 +86,7 @@ StatusOr<DurableRun> RunDurable(const std::string& csv_text,
   }
   repair.max_chase_steps = config.max_chase_steps;
   repair.chunk_rows = config.chunk_rows;
+  repair.memory_budget_bytes = config.memory_budget_bytes;
   repair.wal_path = config.wal_path;
   repair.resume = config.resume;
   RepairSession session(&rules, repair);
@@ -577,6 +580,108 @@ TEST_F(RecoveryTest, InterruptedRunsResumeByteIdentically) {
   }
 }
 
+// A memory budget caps the chunk size, and the WAL journals the capped
+// size: a budget-capped run interrupted at any commit resumes under the
+// same budget to the uninterrupted bytes.
+TEST_F(RecoveryTest, BudgetCappedRunsResumeByteIdentically) {
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
+  }
+  for (Dataset& dataset : MakeDatasets()) {
+    const size_t arity = dataset.rules.schema().arity();
+    // Seven rows and a bit: the cap is 7 rows, not a divisor of any
+    // dataset's size.
+    const size_t budget = 7 * arity * sizeof(ValueId) + 3;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string context =
+          dataset.name + " threads=" + std::to_string(threads);
+      DurableConfig config;
+      config.chunk_rows = RepairConfig::kWholeFile;
+      config.memory_budget_bytes = budget;
+      config.threads = threads;
+      config.on_error = dataset.policy;
+      config.max_chase_steps = dataset.max_chase_steps;
+      const StatusOr<DurableRun> want =
+          RunDurable(dataset.csv, dataset.pool, dataset.rules, config);
+      ASSERT_TRUE(want.ok()) << context << ": " << want.status().message();
+
+      const std::string wal = TempPath("budget_prop.wal");
+      config.wal_path = wal;
+      const StatusOr<DurableRun> full =
+          RunDurable(dataset.csv, dataset.pool, dataset.rules, config);
+      ASSERT_TRUE(full.ok()) << context;
+      ASSERT_EQ(full->csv, want->csv) << context;
+      const StatusOr<RecoveredRun> scanned = ScanWal(wal);
+      ASSERT_TRUE(scanned.ok()) << context;
+      EXPECT_EQ(scanned->header.chunk_rows, 7u) << context;
+      const size_t chunks = full->report.chunks;
+      EXPECT_EQ(chunks, (full->report.rows + 6) / 7) << context;
+
+      for (const size_t kill : {size_t{1}, chunks / 2, chunks}) {
+        if (kill == 0) continue;
+        const std::string kill_context =
+            context + " kill=" + std::to_string(kill);
+        FaultPlan plan;
+        plan.skip_hits = kill;
+        plan.max_fires = 1;
+        FaultRegistry::Global().Arm("wal.fsync", plan);
+        config.resume = false;
+        const StatusOr<DurableRun> crashed =
+            RunDurable(dataset.csv, dataset.pool, dataset.rules, config);
+        FaultRegistry::Global().DisarmAll();
+        ASSERT_FALSE(crashed.ok()) << kill_context;
+
+        config.resume = true;
+        const StatusOr<DurableRun> resumed =
+            RunDurable(dataset.csv, dataset.pool, dataset.rules, config);
+        ASSERT_TRUE(resumed.ok())
+            << kill_context << ": " << resumed.status().message();
+        ASSERT_EQ(resumed->csv, want->csv) << kill_context;
+        EXPECT_EQ(resumed->report.chunks, chunks) << kill_context;
+        ExpectSameDiagnostics(resumed->tuple_diagnostics,
+                              want->tuple_diagnostics, kill_context);
+      }
+      std::remove(wal.c_str());
+    }
+  }
+}
+
+// A different budget that changes the capped chunk size moves the chunk
+// boundaries, so resume refuses it as a Status; a different budget that
+// lands on the same cap resumes.
+TEST_F(RecoveryTest, ResumeRefusesADifferentBudget) {
+  TravelExample example;
+  const std::string wal = TempPath("budget_mismatch.wal");
+  const std::string dirty_csv = ToCsv(example.dirty);
+  const size_t row_bytes = example.dirty.num_columns() * sizeof(ValueId);
+  DurableConfig config{.chunk_rows = RepairConfig::kWholeFile,
+                       .memory_budget_bytes = 2 * row_bytes,
+                       .wal_path = wal};
+  const StatusOr<DurableRun> full =
+      RunDurable(dirty_csv, example.pool, example.rules, config);
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  EXPECT_EQ(full->report.chunks, 2u);
+
+  config.resume = true;
+  for (const size_t budget : {3 * row_bytes, row_bytes, size_t{0}}) {
+    config.memory_budget_bytes = budget;
+    const StatusOr<DurableRun> refused =
+        RunDurable(dirty_csv, example.pool, example.rules, config);
+    ASSERT_FALSE(refused.ok()) << "budget=" << budget;
+    EXPECT_EQ(refused.status().code(), StatusCode::kMalformedInput)
+        << "budget=" << budget;
+    EXPECT_NE(refused.status().message().find("chunk_rows"),
+              std::string::npos)
+        << refused.status();
+  }
+  // The refusals left the log alone; the same cap resumes from it.
+  config.memory_budget_bytes = 3 * row_bytes - 1;
+  const StatusOr<DurableRun> resumed =
+      RunDurable(dirty_csv, example.pool, example.rules, config);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed->csv, full->csv);
+}
+
 TEST_F(RecoveryTest, ResumeWithACompleteWalReplaysEverything) {
   TravelExample example;
   const std::string wal = TempPath("complete.wal");
@@ -712,6 +817,7 @@ StatusOr<DurableRun> RunDurableCsvQuarantine(
   repair.on_error = config.on_error;
   repair.quarantine = &tuple_sink;
   repair.chunk_rows = config.chunk_rows;
+  repair.memory_budget_bytes = config.memory_budget_bytes;
   repair.wal_path = config.wal_path;
   repair.resume = config.resume;
   RepairSession session(&rules, repair);
@@ -860,6 +966,82 @@ TEST_F(RecoveryTest, SigkilledChildResumesToIdenticalBytes) {
       EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
     }
   }
+#endif
+}
+
+// The same harness under --memory-budget with no --chunk-rows: the
+// budget alone sets the chunk size (2 travel rows of 5 cells), the WAL
+// records it, and a resume must bring the same budget.
+TEST_F(RecoveryTest, SigkilledBudgetRunResumesToIdenticalBytes) {
+#ifndef FIXREP_CLI_PATH
+  GTEST_SKIP() << "built without FIXREP_CLI_PATH";
+#else
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without FIXREP_ENABLE_FAULT_INJECTION";
+  }
+  const std::string cli = FIXREP_CLI_PATH;
+  if (!std::ifstream(cli).good()) {
+    GTEST_SKIP() << "fixrep_cli not built at " << cli;
+  }
+  TravelExample example;
+  const std::string dirty_path = TempPath("budget_dirty.csv");
+  const std::string rules_path = TempPath("budget_rules.txt");
+  std::ofstream(dirty_path) << ToCsv(example.dirty);
+  ASSERT_TRUE(TryWriteRulesFile(example.rules, rules_path).ok());
+  const std::string ref_path = TempPath("budget_ref.csv");
+  const std::string out_path = TempPath("budget_out.csv");
+  const std::string wal_path = TempPath("budget_e2e.wal");
+  cleanup_.push_back(ref_path + ".tmp");
+  cleanup_.push_back(out_path + ".tmp");
+
+  const auto run_cli = [&](const std::string& env,
+                           const std::string& flags) {
+    const std::string command = env + " " + cli + " repair --rules " +
+                                rules_path + " --in " + dirty_path +
+                                " --stream " + flags + " >/dev/null 2>&1";
+    return std::system(command.c_str());
+  };
+  const std::string budget = "--memory-budget 40 ";
+  ASSERT_EQ(run_cli("", budget + "--out " + ref_path), 0);
+  const std::string reference = ReadFileBytes(ref_path);
+  ASSERT_EQ(reference, ToCsv(example.clean));
+
+  for (const char* site : {"wal.crash_after_append", "wal.crash_before_commit",
+                           "wal.crash_after_commit"}) {
+    for (const int skip : {0, 1}) {  // first and last of the two chunks
+      const std::string context =
+          std::string(site) + " skip=" + std::to_string(skip);
+      std::remove(out_path.c_str());
+      std::remove(wal_path.c_str());
+      const int killed = run_cli("FIXREP_FAULT=" + std::string(site) +
+                                     ":skip=" + std::to_string(skip) +
+                                     ":max=1",
+                                 budget + "--out " + out_path + " --wal " +
+                                     wal_path);
+      ASSERT_TRUE(WIFSIGNALED(killed) ||
+                  (WIFEXITED(killed) && WEXITSTATUS(killed) != 0))
+          << context << ": child survived (" << killed << ")";
+      const StatusOr<RecoveredRun> scanned = ScanWal(wal_path);
+      ASSERT_TRUE(scanned.ok()) << context;
+      EXPECT_EQ(scanned->header.chunk_rows, 2u) << context;
+      // Another budget means other chunk boundaries: refused, not
+      // resumed into different bytes.
+      const int refused = run_cli(
+          "", "--memory-budget 60 --out " + out_path + " --wal " + wal_path +
+                  " --resume");
+      ASSERT_TRUE(WIFEXITED(refused) && WEXITSTATUS(refused) == 1)
+          << context << ": " << refused;
+      EXPECT_FALSE(std::ifstream(out_path).good()) << context;
+      const int resumed = run_cli("", budget + "--out " + out_path +
+                                          " --wal " + wal_path + " --resume");
+      ASSERT_EQ(resumed, 0) << context;
+      EXPECT_EQ(ReadFileBytes(out_path), reference) << context;
+    }
+  }
+  // Column pruning is gone: --prune is an unknown key, a usage error.
+  const int pruned = run_cli("", "--prune --out " + out_path);
+  ASSERT_TRUE(WIFEXITED(pruned)) << pruned;
+  EXPECT_EQ(WEXITSTATUS(pruned), 2);
 #endif
 }
 

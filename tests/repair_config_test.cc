@@ -40,7 +40,6 @@ void ExpectSameConfig(const RepairConfig& got, const RepairConfig& want,
   EXPECT_EQ(got.max_chase_steps, want.max_chase_steps) << context;
   EXPECT_EQ(got.chunk_rows, want.chunk_rows) << context;
   EXPECT_EQ(got.memory_budget_bytes, want.memory_budget_bytes) << context;
-  EXPECT_EQ(got.prune_columns, want.prune_columns) << context;
   EXPECT_EQ(got.wal_path, want.wal_path) << context;
   EXPECT_EQ(got.resume, want.resume) << context;
   EXPECT_EQ(got.scoped_metrics, want.scoped_metrics) << context;
@@ -54,7 +53,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
                                       {"max-chase-steps", "9"},
                                       {"chunk-rows", "77"},
                                       {"memory-budget", "64MB"},
-                                      {"prune", ""},
                                       {"wal", "/tmp/w.wal"},
                                       {"resume", "on"},
                                       {"scoped-metrics", "1"}});
@@ -65,7 +63,6 @@ TEST(RepairConfigTest, EveryKeyParses) {
   EXPECT_EQ(config.max_chase_steps, 9u);
   EXPECT_EQ(config.chunk_rows, 77u);
   EXPECT_EQ(config.memory_budget_bytes, size_t{64} << 20);
-  EXPECT_TRUE(config.prune_columns);
   EXPECT_EQ(config.wal_path, "/tmp/w.wal");
   EXPECT_TRUE(config.resume);
   EXPECT_TRUE(config.scoped_metrics);
@@ -81,6 +78,18 @@ TEST(RepairConfigTest, RemovedMemoAndShardKeysAreUnknown) {
       ExpectSameConfig(config, RepairConfig{}, key);
     }
   }
+}
+
+TEST(RepairConfigTest, RemovedPruneKeyIsUnknown) {
+  // Column pruning is gone; a memory budget now only caps the chunk.
+  for (const char* value : {"", "true", "false"}) {
+    RepairConfig config;
+    const Status status = ParseRepairConfig("prune", value, &config);
+    EXPECT_EQ(status.code(), StatusCode::kMalformedInput) << value;
+    EXPECT_NE(status.message().find("unknown"), std::string::npos) << status;
+    ExpectSameConfig(config, RepairConfig{}, "prune");
+  }
+  EXPECT_FALSE(RepairConfigKeyIsSessionLocal("prune"));
 }
 
 TEST(RepairConfigTest, WholeFileChunkRows) {
@@ -110,7 +119,7 @@ TEST(RepairConfigTest, BadValuesAreInvalidArgumentAndLeaveNoTrace) {
       {"memory-budget", "0"},    {"memory-budget", "-1"},
       {"memory-budget", "+64MB"}, {"memory-budget", " 64MB"},
       {"memory-budget", "99999999999G"},
-      {"prune", "2"},            {"wal", ""},
+      {"wal", ""},
       {"resume", "nah"},         {"scoped-metrics", "si"}};
   for (const auto& [key, value] : bad) {
     RepairConfig config;
@@ -152,7 +161,7 @@ TEST(RepairConfigTest, ByteSizesParseWithSuffixes) {
 
 TEST(RepairConfigTest, SessionLocalKeysAreExactlyTheDurabilityAndLayoutOnes) {
   for (const char* key : {"rules-dict", "chunk-rows", "memory-budget",
-                          "prune", "wal", "resume", "scoped-metrics"}) {
+                          "wal", "resume", "scoped-metrics"}) {
     EXPECT_TRUE(RepairConfigKeyIsSessionLocal(key)) << key;
   }
   for (const char* key : {"engine", "threads", "on-error",
@@ -179,7 +188,6 @@ TEST(RepairConfigPropertyTest, FormatThenParseRoundTripsRandomConfigs) {
     config.chunk_rows =
         pick(4) == 0 ? RepairConfig::kWholeFile : 1 + pick(1 << 20);
     config.memory_budget_bytes = pick(2) == 0 ? 0 : 1 + pick(1 << 28);
-    config.prune_columns = pick(2) == 0;
     if (pick(3) == 0) config.wal_path = "/tmp/run.wal";
     config.resume = pick(4) == 0;
     config.scoped_metrics = pick(2) == 0;

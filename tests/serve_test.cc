@@ -508,9 +508,10 @@ TEST_F(ServeDaemonTest, ConfigHeadersSelectEngineAndThreads) {
     EXPECT_EQ(result->csv, direct.csv);
     EXPECT_EQ(result->csv, travel.expected);  // engines agree byte-for-byte
   }
-  // The memo and shard knobs are gone: their headers are unknown keys,
-  // refused by name.
-  for (const char* key : {"no-memo", "memo", "memo-capacity", "shards"}) {
+  // The memo, shard and column-pruning knobs are gone: their headers are
+  // unknown keys, refused by name.
+  for (const char* key :
+       {"no-memo", "memo", "memo-capacity", "shards", "prune"}) {
     StatusOr<RepairResult> removed = client->Submit(
         travel.name, {{"threads", "2"}, {key, "true"}}, travel.csv);
     ASSERT_FALSE(removed.ok()) << key;

@@ -2,7 +2,8 @@
 // bit-identical — repaired cells, reports, quarantine diagnostics, write
 // log, AND published metrics — to calling the engine layer directly for
 // every engine/threads/backend/error-policy combination it routes, in
-// memory and streamed (chunked and spilled). The ShardedRepair and
+// memory and streamed (chunked, and chunked under a memory budget). The
+// ShardedRepair and
 // ShardedSessionMatrix suites split a table into row ranges through one
 // RepairDriver and hold every split to the same serial result.
 
@@ -46,6 +47,21 @@ void ExpectSameRows(const Table& got, const Table& want,
   ASSERT_EQ(got.num_rows(), want.num_rows()) << context;
   for (size_t r = 0; r < want.num_rows(); ++r) {
     ASSERT_EQ(got.row(r), want.row(r)) << context << " row " << r;
+  }
+}
+
+// A budget caps the chunk size (ChunkRowsForBudget): a stream of `rows`
+// takes ceil(rows / cap) chunks, and one chunk's cells stay within the
+// budget rounded up to one RowStore block.
+void ExpectBudgetGeometry(const RepairReport& report, size_t rows,
+                          size_t arity, size_t chunk_rows, size_t budget,
+                          const std::string& context) {
+  const size_t cap = ChunkRowsForBudget(chunk_rows, budget, arity);
+  EXPECT_EQ(report.chunks, testing::ChunksFor(rows, cap)) << context;
+  if (budget > 0) {
+    EXPECT_LE(report.peak_resident_bytes,
+              testing::BudgetCeilingBytes(budget, arity))
+        << context;
   }
 }
 
@@ -197,9 +213,10 @@ RepairConfig MatrixConfig(OnErrorPolicy policy, size_t threads,
 
 // The width matrix: datasets × error policy × threads × backend
 // {in-RAM index, FXRDICT} × write log, in memory, then streamed chunked
-// and spilled. Every route must reproduce the direct serial run's rows,
-// cell count, diagnostics (row order, whatever the worker interleaving)
-// and write log (rows ascending, chase order within a row).
+// and under a memory budget. Every route must reproduce the direct
+// serial run's rows, cell count, diagnostics (row order, whatever the
+// worker interleaving) and write log (rows ascending, chase order within
+// a row).
 TEST(RepairSessionTest, ThreadedConfigsMatchSerialOnGeneratedData) {
   for (Dataset (*make)() : {TravelDataset, HospDataset, UisDataset}) {
     const Dataset data = make();
@@ -247,7 +264,7 @@ TEST(RepairSessionTest, ThreadedConfigsMatchSerialOnGeneratedData) {
           };
           for (const StreamMode& mode :
                {StreamMode{"chunked", 97, 0},
-                StreamMode{"spill", RepairConfig::kWholeFile, 16 * 1024}}) {
+                StreamMode{"budget", RepairConfig::kWholeFile, 16 * 1024}}) {
             std::istringstream in(dirty_csv);
             StatusOr<CsvChunkReader> reader =
                 CsvChunkReader::Open(in, "stream", data.pool, {});
@@ -266,6 +283,9 @@ TEST(RepairSessionTest, ThreadedConfigsMatchSerialOnGeneratedData) {
             EXPECT_EQ(out.str(), want_csv) << stream_context;
             EXPECT_EQ(report->cells_changed, want.cells_changed)
                 << stream_context;
+            ExpectBudgetGeometry(report.value(), data.dirty.num_rows(),
+                                 data.dirty.num_columns(), mode.chunk_rows,
+                                 mode.memory_budget, stream_context);
             ExpectSameDiagnostics(sink.diagnostics(), want_diags,
                                   stream_context);
           }
@@ -446,26 +466,29 @@ TEST(RepairSessionTest, StreamMatchesInMemoryRepairBytes) {
   std::ostringstream dirty_csv;
   WriteCsv(example.dirty, dirty_csv);
 
-  for (const bool prune : {false, true}) {
-    for (const size_t budget : {size_t{0}, size_t{1}}) {
-      std::istringstream in(dirty_csv.str());
-      StatusOr<CsvChunkReader> reader =
-          CsvChunkReader::Open(in, "stream", example.pool);
-      ASSERT_TRUE(reader.ok());
-      RepairConfig config;
-      config.chunk_rows = 2;
-      config.memory_budget_bytes = budget;
-      config.prune_columns = prune;
-      RepairSession session(&example.rules, config);
-      std::ostringstream out;
-      const StatusOr<RepairReport> report =
-          session.RepairStream(&reader.value(), out);
-      ASSERT_TRUE(report.ok()) << report.status().message();
-      EXPECT_EQ(out.str(), want.str())
-          << "prune=" << prune << " budget=" << budget;
-      EXPECT_EQ(report->rows, example.dirty.num_rows());
-      EXPECT_EQ(report->chunks, 2u);
-    }
+  // Budget 1 is smaller than one row: 1-row chunks.
+  for (const size_t budget : {size_t{0}, size_t{1}}) {
+    const std::string context = "budget=" + std::to_string(budget);
+    std::istringstream in(dirty_csv.str());
+    StatusOr<CsvChunkReader> reader =
+        CsvChunkReader::Open(in, "stream", example.pool);
+    ASSERT_TRUE(reader.ok());
+    RepairConfig config;
+    config.chunk_rows = 2;
+    config.memory_budget_bytes = budget;
+    RepairSession session(&example.rules, config);
+    std::ostringstream out;
+    const StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(out.str(), want.str()) << context;
+    EXPECT_EQ(report->rows, example.dirty.num_rows());
+    EXPECT_EQ(report->chunks,
+              budget == 0 ? 2u : example.dirty.num_rows())
+        << context;
+    ExpectBudgetGeometry(report.value(), example.dirty.num_rows(),
+                         example.dirty.num_columns(), config.chunk_rows,
+                         budget, context);
   }
 }
 
@@ -680,9 +703,10 @@ TEST(ShardedSessionMatrix, DictAndShardsByteIdenticalAcrossDatasets) {
   }
 }
 
-// Streams cut into chunks and spill blocks of several sizes — each one a
-// row range handed to the session's driver — across both backends and
-// widths, byte-identical to the direct serial run.
+// Streams cut into chunks of several sizes, set directly or by a memory
+// budget — each chunk a row range handed to the session's driver —
+// across both backends and widths, byte-identical to the direct serial
+// run.
 TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
   for (Dataset (*make)() : {TravelDataset, HospDataset, UisDataset}) {
     const Dataset data = make();
@@ -702,8 +726,8 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
       };
       for (const StreamMode& mode :
            {StreamMode{"chunked_7", 7, 0}, StreamMode{"chunked_500", 500, 0},
-            StreamMode{"spill_4k", RepairConfig::kWholeFile, 4 * 1024},
-            StreamMode{"spill_64k", RepairConfig::kWholeFile, 64 * 1024}}) {
+            StreamMode{"budget_4k", RepairConfig::kWholeFile, 4 * 1024},
+            StreamMode{"budget_64k", RepairConfig::kWholeFile, 64 * 1024}}) {
         for (const size_t threads : {size_t{1}, size_t{4}}) {
           for (const bool dict_backed : {false, true}) {
             const std::string context =
@@ -727,6 +751,9 @@ TEST(ShardedSessionMatrix, StreamAndSpillByteIdenticalAcrossBackends) {
             EXPECT_EQ(out.str(), want_csv) << context;
             EXPECT_EQ(report->tuples_quarantined, want.failures.size())
                 << context;
+            ExpectBudgetGeometry(report.value(), data.dirty.num_rows(),
+                                 data.dirty.num_columns(), mode.chunk_rows,
+                                 mode.memory_budget, context);
           }
         }
       }

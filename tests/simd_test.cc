@@ -23,7 +23,7 @@
 #include "relation/csv.h"
 #include "repair/lrepair.h"
 #include "repair/rule_index.h"
-#include "repair/streaming.h"
+#include "repair/session.h"
 #include "rulegen/rulegen.h"
 #include "testing_util.h"
 
@@ -234,24 +234,33 @@ EngineRun RunLenientBudget(const Table& dirty, const RuleSet& rules) {
   return run;
 }
 
+// Streams through RepairSession; a budget caps the requested whole-file
+// chunk at budget / (arity * 4 bytes) rows.
 EngineRun StreamRun(const Table& dirty, const RuleSet& rules,
                     size_t budget_bytes) {
   const std::string input = TableCsv(dirty);
   const CompiledRuleIndex index(&rules);
-  StreamingRepairOptions options;
-  options.chunk_rows = budget_bytes > 0 ? ~size_t{0} : 512;
-  options.memory_budget_bytes = budget_bytes;
+  RepairConfig config;
+  config.chunk_rows = budget_bytes > 0 ? RepairConfig::kWholeFile : 512;
+  config.memory_budget_bytes = budget_bytes;
   std::istringstream in(input);
   std::ostringstream out;
   StatusOr<CsvChunkReader> reader =
       CsvChunkReader::Open(in, "simd_test", dirty.pool_ptr(), {});
   EXPECT_TRUE(reader.ok());
-  StreamingRepairSession session(&index, options);
-  const StatusOr<StreamingRepairResult> result =
-      session.Run(&reader.value(), out);
+  RepairSession session(&index, config);
+  const StatusOr<RepairReport> result =
+      session.RepairStream(&reader.value(), out);
   EXPECT_TRUE(result.ok());
-  return {out.str(),
-          {result.value().rows_emitted, result.value().cells_changed}};
+  const size_t rows = dirty.num_rows();
+  const size_t cap =
+      ChunkRowsForBudget(config.chunk_rows, budget_bytes, dirty.num_columns());
+  EXPECT_EQ(result->chunks, testing::ChunksFor(rows, cap));
+  if (budget_bytes > 0) {
+    EXPECT_LE(result->peak_resident_bytes,
+              testing::BudgetCeilingBytes(budget_bytes, dirty.num_columns()));
+  }
+  return {out.str(), {result->rows, result->cells_changed, result->chunks}};
 }
 
 EngineRun RunStreamChunked(const Table& dirty, const RuleSet& rules) {
@@ -259,12 +268,10 @@ EngineRun RunStreamChunked(const Table& dirty, const RuleSet& rules) {
 }
 
 EngineRun RunStreamBudget(const Table& dirty, const RuleSet& rules) {
-  // A few blocks of budget: the whole-file chunk must spill and the
-  // row-group gather must survive block eviction between probe and
-  // chase.
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * dirty.num_columns() * sizeof(ValueId);
-  return StreamRun(dirty, rules, 4 * block_bytes);
+  // A budget of 100 rows and a bit: row groups are cut at chunk
+  // boundaries that fall mid-group.
+  const size_t row_bytes = dirty.num_columns() * sizeof(ValueId);
+  return StreamRun(dirty, rules, 100 * row_bytes + row_bytes / 2);
 }
 
 void ExpectKernelIndependent(const Table& dirty, const RuleSet& rules,

@@ -24,7 +24,9 @@
 #include "relation/row_store.h"
 #include "relation/table.h"
 #include "repair/lrepair.h"
+#include "repair/recovery.h"
 #include "repair/rule_index.h"
+#include "repair/session.h"
 #include "repair/streaming.h"
 #include "rulegen/rulegen.h"
 #include "rules/rule_io.h"
@@ -58,8 +60,8 @@ struct StreamConfig {
   OnErrorPolicy on_error = OnErrorPolicy::kAbort;
   size_t max_chase_steps = 0;
   OnErrorPolicy csv_policy = OnErrorPolicy::kAbort;
-  size_t memory_budget_bytes = 0;  // > 0: spill chunk blocks to disk
-  bool prune_columns = false;
+  // > 0: run through RepairSession, where the budget caps chunk_rows.
+  size_t memory_budget_bytes = 0;
 };
 
 StatusOr<StreamRun> RunStream(const std::string& csv_text,
@@ -78,24 +80,43 @@ StatusOr<StreamRun> RunStream(const std::string& csv_text,
       CsvChunkReader::Open(in, "stream", std::move(pool), csv_options);
   if (!reader.ok()) return reader.status();
 
-  StreamingRepairOptions options;
-  options.chunk_rows = config.chunk_rows;
-  options.repair.threads = config.threads;
-  options.repair.on_error = config.on_error;
-  if (config.on_error == OnErrorPolicy::kQuarantine) {
-    options.repair.quarantine = &tuple_sink;
-  }
-  options.repair.max_chase_steps = config.max_chase_steps;
-  options.memory_budget_bytes = config.memory_budget_bytes;
-  options.prune_columns = config.prune_columns;
-  StreamingRepairSession session(&index, options);
-  std::ostringstream out;
-  StatusOr<StreamingRepairResult> result = session.Run(&reader.value(), out);
-  if (!result.ok()) return result.status();
-
   StreamRun run;
+  std::ostringstream out;
+  if (config.memory_budget_bytes > 0) {
+    RepairConfig repair;
+    repair.chunk_rows = config.chunk_rows;
+    repair.memory_budget_bytes = config.memory_budget_bytes;
+    repair.threads = config.threads;
+    repair.on_error = config.on_error;
+    if (config.on_error == OnErrorPolicy::kQuarantine) {
+      repair.quarantine = &tuple_sink;
+    }
+    repair.max_chase_steps = config.max_chase_steps;
+    RepairSession session(&index, repair);
+    StatusOr<RepairReport> report =
+        session.RepairStream(&reader.value(), out);
+    if (!report.ok()) return report.status();
+    run.result.rows_emitted = report->rows;
+    run.result.chunks = report->chunks;
+    run.result.cells_changed = report->cells_changed;
+    run.result.tuples_quarantined = report->tuples_quarantined;
+    run.result.peak_resident_bytes = report->peak_resident_bytes;
+  } else {
+    StreamingRepairOptions options;
+    options.chunk_rows = config.chunk_rows;
+    options.repair.threads = config.threads;
+    options.repair.on_error = config.on_error;
+    if (config.on_error == OnErrorPolicy::kQuarantine) {
+      options.repair.quarantine = &tuple_sink;
+    }
+    options.repair.max_chase_steps = config.max_chase_steps;
+    StreamingRepairSession session(&index, options);
+    StatusOr<StreamingRepairResult> result =
+        session.Run(&reader.value(), out);
+    if (!result.ok()) return result.status();
+    run.result = result.value();
+  }
   run.csv = out.str();
-  run.result = result.value();
   run.tuple_diagnostics = tuple_sink.diagnostics();
   run.row_diagnostics = row_sink.diagnostics();
   return run;
@@ -475,36 +496,51 @@ TEST_F(StreamingQuarantineTest, FinalInputProgressEqualsFileSize) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------- out-of-core spill --
+// ------------------------------------------- memory budget (chunk cap) --
 
-// Property: with the whole input as one chunk, every spill budget — tiny
-// (degrades to the working-set floor), a few blocks, unlimited — emits
-// exactly the bytes of an in-memory run, serial and pooled.
-void ExpectSpillConfigsMatch(const std::string& input_csv,
-                             std::shared_ptr<ValuePool> pool,
-                             const CompiledRuleIndex& index,
-                             const std::string& want, size_t num_rows) {
-  const size_t block_bytes =
-      RowStore::kRowsPerBlock * index.arity() * sizeof(ValueId);
-  for (const size_t budget : {size_t{1}, 4 * block_bytes, size_t{0}}) {
+// A memory budget caps the chunk size at budget / (arity * 4 bytes) rows,
+// at least 1 (ChunkRowsForBudget, applied by RepairSession::RepairStream).
+// Output is the same for every chunk size, so the budget changes how
+// many chunks a run takes and how many cell bytes one chunk holds —
+// never a byte of output.
+
+size_t RowBytes(size_t arity) { return arity * sizeof(ValueId); }
+
+size_t BlockBytes(size_t arity) {
+  return RowStore::kRowsPerBlock * RowBytes(arity);
+}
+
+using testing::BudgetCeilingBytes;
+using testing::ChunksFor;
+
+// Property: with the whole input as the requested chunk, every budget —
+// two rows, a thousand rows, a few blocks, none — emits exactly the
+// bytes of an in-memory run, serial and pooled, in ceil(rows / cap)
+// chunks whose cells fit the budget.
+void ExpectBudgetConfigsMatch(const std::string& input_csv,
+                              std::shared_ptr<ValuePool> pool,
+                              const CompiledRuleIndex& index,
+                              const std::string& want, size_t num_rows) {
+  const size_t arity = index.arity();
+  const size_t row_bytes = RowBytes(arity);
+  for (const size_t budget : {2 * row_bytes + 1, 1000 * row_bytes + 5,
+                              4 * BlockBytes(arity), size_t{0}}) {
+    const size_t cap = budget == 0 ? num_rows : budget / row_bytes;
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       const std::string context = "budget=" + std::to_string(budget) +
                                   " threads=" + std::to_string(threads);
       const StatusOr<StreamRun> run =
           RunStream(input_csv, pool, index,
-                    {.chunk_rows = ~size_t{0},  // spilling, not chunking,
-                     .threads = threads,        // bounds resident memory
+                    {.chunk_rows = RepairConfig::kWholeFile,
+                     .threads = threads,
                      .memory_budget_bytes = budget});
       ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
       ASSERT_EQ(run->csv, want) << context;
       EXPECT_EQ(run->result.rows_emitted, num_rows) << context;
-      if (budget == 1) {
-        // Floor: tail + in-flight + (parallel) one pinned block, plus one
-        // transient block between NoteResident and eviction.
-        EXPECT_LE(run->result.peak_resident_bytes, 4 * block_bytes)
-            << context;
-      } else if (budget > 0) {
-        EXPECT_LE(run->result.peak_resident_bytes, budget + block_bytes)
+      EXPECT_EQ(run->result.chunks, ChunksFor(num_rows, cap)) << context;
+      if (budget > 0) {
+        EXPECT_LE(run->result.peak_resident_bytes,
+                  BudgetCeilingBytes(budget, arity))
             << context;
       }
     }
@@ -512,17 +548,15 @@ void ExpectSpillConfigsMatch(const std::string& input_csv,
 }
 
 TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnTravelExample) {
-  // Single-block table: exercises the spill machinery (budget floor, file
-  // lifecycle) without eviction pressure.
   TravelExample example;
   const CompiledRuleIndex index(&example.rules);
-  ExpectSpillConfigsMatch(ToCsv(example.dirty), example.pool, index,
-                          ToCsv(example.clean), example.dirty.num_rows());
+  ExpectBudgetConfigsMatch(ToCsv(example.dirty), example.pool, index,
+                           ToCsv(example.clean), example.dirty.num_rows());
 }
 
 TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedHosp) {
-  // Five blocks of rows: a tiny budget forces real eviction and mmap
-  // read-back mid-repair.
+  // Over four blocks of rows: the block-sized budget leaves a partial
+  // tail chunk.
   HospOptions options;
   options.rows = 4 * RowStore::kRowsPerBlock + 1500;
   options.num_hospitals = 120;
@@ -538,8 +572,8 @@ TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedHosp) {
   FastRepairer repairer(&rules);
   repairer.RepairTable(&reference);
   const CompiledRuleIndex index(&rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
-                          dirty.num_rows());
+  ExpectBudgetConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
+                           dirty.num_rows());
 }
 
 TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedUis) {
@@ -559,22 +593,21 @@ TEST_F(StreamingTest, SpillBudgetsBitIdenticalOnGeneratedUis) {
   FastRepairer repairer(&rules);
   repairer.RepairTable(&reference);
   const CompiledRuleIndex index(&rules);
-  ExpectSpillConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
-                          dirty.num_rows());
+  ExpectBudgetConfigsMatch(ToCsv(dirty), data.pool, index, ToCsv(reference),
+                           dirty.num_rows());
 }
 
-// Spilled blocks under the lenient block-wise driver: quarantine
-// diagnostics and bytes still match the in-memory lenient run, with
-// failing tuples scattered across block boundaries.
-TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
-  const size_t rows = 2 * RowStore::kRowsPerBlock + 700;
-  Table table(schema_, pool_);
+// Rows of three shapes: repaired in one pop, untouched, and a cascade
+// that fails under max_chase_steps = 1.
+Table PatternTable(std::shared_ptr<const Schema> schema,
+                   std::shared_ptr<ValuePool> pool, size_t rows) {
+  Table table(std::move(schema), std::move(pool));
   for (size_t r = 0; r < rows; ++r) {
     switch (r % 5) {
       case 0:
         table.AppendRowStrings({"China", "Shanghai", "x"});
         break;
-      case 3:  // cascade: budget-exhausted under max_chase_steps = 1
+      case 3:
         table.AppendRowStrings({"Chn", "Hongkong", "flag"});
         break;
       default:
@@ -582,6 +615,15 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
         break;
     }
   }
+  return table;
+}
+
+// Budget-capped chunks under the lenient driver: quarantine diagnostics
+// and bytes still match the in-memory lenient run, with failing tuples
+// scattered across chunk boundaries.
+TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
+  const size_t rows = 2 * RowStore::kRowsPerBlock + 700;
+  const Table table = PatternTable(schema_, pool_, rows);
   const std::string input_csv = ToCsv(table);
   const CompiledRuleIndex index(&rules_);
 
@@ -594,17 +636,23 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
   ASSERT_GT(reference_result.outcome.tuples_quarantined, 0u);
   const std::string want = ToCsv(reference);
 
+  const size_t arity = index.arity();
+  const size_t budget = 1000 * RowBytes(arity) + 5;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     const std::string context = "threads=" + std::to_string(threads);
     const StatusOr<StreamRun> run =
         RunStream(input_csv, pool_, index,
-                  {.chunk_rows = ~size_t{0},
+                  {.chunk_rows = RepairConfig::kWholeFile,
                    .threads = threads,
                    .on_error = OnErrorPolicy::kQuarantine,
                    .max_chase_steps = 1,
-                   .memory_budget_bytes = 1});
+                   .memory_budget_bytes = budget});
     ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
     ASSERT_EQ(run->csv, want) << context;
+    EXPECT_EQ(run->result.chunks, ChunksFor(rows, 1000)) << context;
+    EXPECT_LE(run->result.peak_resident_bytes,
+              BudgetCeilingBytes(budget, arity))
+        << context;
     EXPECT_EQ(run->result.tuples_quarantined,
               reference_result.outcome.tuples_quarantined)
         << context;
@@ -613,101 +661,155 @@ TEST_F(StreamingQuarantineTest, SpillWithQuarantineMatchesInMemory) {
   }
 }
 
-// -------------------------------------------------------- column pruning --
-
-// A schema with one column no rule mentions, whose raw text needs CSV
-// requoting — the pass-through sidecar must reproduce it byte for byte.
-class StreamingPruneTest : public StreamingTest {
+// The chunk cap in isolation, and through RepairSession on the pattern
+// table.
+class SpillTest : public StreamingQuarantineTest {
  protected:
-  std::shared_ptr<ValuePool> pool_ = std::make_shared<ValuePool>();
-  std::shared_ptr<const Schema> schema_ = std::make_shared<Schema>(
-      "R",
-      std::vector<std::string>{"country", "capital", "name", "note"});
-  RuleSet rules_ = CascadeRules(schema_, pool_);
-
-  Table MakeTable() {
-    Table table(schema_, pool_);
-    table.AppendRowStrings({"China", "Shanghai", "x", "plain"});
-    table.AppendRowStrings({"China", "Hongkong", "y", "needs,quoting"});
-    table.AppendRowStrings({"France", "Paris", "z", "embedded \"quote\""});
-    table.AppendRowStrings({"China", "Shanghai", "w", ""});
-    table.AppendRowStrings({"Chn", "Hongkong", "flag", "multi\nline"});
-    return table;
+  // Streams `rows` pattern rows through RepairSession with `config`
+  // (rules and sinks filled in here) and checks the output against a
+  // whole-table repair.
+  StatusOr<RepairReport> Run(size_t rows, RepairConfig config) {
+    const Table table = PatternTable(schema_, pool_, rows);
+    Table reference = table;
+    FastRepairer repairer(&rules_);
+    repairer.RepairTable(&reference);
+    std::istringstream in(ToCsv(table));
+    StatusOr<CsvChunkReader> reader = CsvChunkReader::Open(in, "R", pool_);
+    if (!reader.ok()) return reader.status();
+    RepairSession session(&rules_, config);
+    std::ostringstream out;
+    StatusOr<RepairReport> report = session.RepairStream(&reader.value(), out);
+    if (report.ok()) {
+      EXPECT_EQ(out.str(), ToCsv(reference));
+    }
+    return report;
   }
+
+  const size_t row_bytes_ = RowBytes(3);
+  const size_t block_bytes_ = BlockBytes(3);
 };
 
-TEST_F(StreamingPruneTest, PrunedStreamBitIdenticalToUnpruned) {
-  Table reference = MakeTable();
-  const CompiledRuleIndex index(&rules_);
-  ASSERT_FALSE(index.mentioned_attrs().Contains(3));  // note: unmentioned
-  FastRepairer repairer(&rules_);
-  repairer.RepairTable(&reference);
-  const std::string want = ToCsv(reference);
-  const std::string input_csv = ToCsv(MakeTable());
-
-  for (const size_t chunk_rows : {size_t{1}, size_t{2}, size_t{100}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::string context = "chunk_rows=" + std::to_string(chunk_rows) +
-                                  " threads=" + std::to_string(threads);
-      const StatusOr<StreamRun> run =
-          RunStream(input_csv, pool_, index,
-                    {.chunk_rows = chunk_rows,
-                     .threads = threads,
-                     .prune_columns = true});
-      ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-      ASSERT_EQ(run->csv, want) << context;
-      EXPECT_EQ(run->result.columns_pruned, 1u) << context;
-    }
-  }
-}
-
-TEST_F(StreamingPruneTest, PruneWithQuarantineKeepsFullRawText) {
-  // Diagnostics must carry the complete original tuple — including the
-  // pruned column's raw text — exactly as an unpruned run renders it.
-  const std::string input_csv = ToCsv(MakeTable());
-  const CompiledRuleIndex index(&rules_);
-
-  Table reference = MakeTable();
-  VectorQuarantineSink reference_sink;
-  testing::DriveTable(
-      index, &reference,
-      {.on_error = OnErrorPolicy::kQuarantine, .quarantine = &reference_sink,
-       .max_chase_steps = 1});
-  ASSERT_EQ(reference_sink.size(), 1u);  // the cascade row
-  const std::string want = ToCsv(reference);
-
+TEST_F(SpillTest, BudgetBoundsResidencyDuringFillAndScan) {
+  // A one-block budget over three and a bit blocks of rows: four chunks,
+  // none holding more cells than the budget.
+  const size_t rows = 3 * RowStore::kRowsPerBlock + 100;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string context = "threads=" + std::to_string(threads);
-    const StatusOr<StreamRun> run =
-        RunStream(input_csv, pool_, index,
-                  {.chunk_rows = 2,
-                   .threads = threads,
-                   .on_error = OnErrorPolicy::kQuarantine,
-                   .max_chase_steps = 1,
-                   .prune_columns = true});
-    ASSERT_TRUE(run.ok()) << context << ": " << run.status().message();
-    ASSERT_EQ(run->csv, want) << context;
-    ExpectSameDiagnostics(run->tuple_diagnostics,
-                          reference_sink.diagnostics(), context);
+    RepairConfig config;
+    config.threads = threads;
+    config.chunk_rows = RepairConfig::kWholeFile;
+    config.memory_budget_bytes = block_bytes_;
+    const StatusOr<RepairReport> report = Run(rows, config);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(report->rows, rows);
+    EXPECT_EQ(report->chunks, 4u);
+    EXPECT_LE(report->peak_resident_bytes, block_bytes_);
   }
 }
 
-TEST_F(StreamingPruneTest, PruningComposesWithSpill) {
-  const std::string input_csv = ToCsv(MakeTable());
-  const CompiledRuleIndex index(&rules_);
-  Table reference = MakeTable();
-  FastRepairer repairer(&rules_);
-  repairer.RepairTable(&reference);
-  const StatusOr<StreamRun> run =
-      RunStream(input_csv, pool_, index,
-                {.chunk_rows = ~size_t{0},
-                 .threads = 4,
-                 .memory_budget_bytes = 1,
-                 .prune_columns = true});
-  ASSERT_TRUE(run.ok()) << run.status().message();
-  EXPECT_EQ(run->csv, ToCsv(reference));
-  EXPECT_EQ(run->result.columns_pruned, 1u);
-  EXPECT_EQ(CounterValue("fixrep.streaming.columns_pruned"), 1u);
+TEST_F(SpillTest, TinyBudgetDegradesToWorkingSetFloor) {
+  // A budget smaller than one row degrades to 1-row chunks, not to a
+  // refusal or a crash; the chunk table still reserves one block.
+  const size_t rows = 50;
+  for (const size_t budget : {size_t{1}, row_bytes_ - 1}) {
+    RepairConfig config;
+    config.memory_budget_bytes = budget;
+    const StatusOr<RepairReport> report = Run(rows, config);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(report->chunks, rows) << "budget=" << budget;
+    EXPECT_EQ(report->peak_resident_bytes, block_bytes_)
+        << "budget=" << budget;
+  }
+}
+
+TEST_F(SpillTest, PeakResidentTracksHighWaterMark) {
+  // The peak is the chunk table's reservation: the capped chunk size
+  // rounded up to whole blocks, however few rows the input has.
+  const size_t rows = 5000;
+  for (const size_t budget :
+       {block_bytes_ / 2, 2 * block_bytes_ + 10 * row_bytes_}) {
+    const size_t cap = budget / row_bytes_;
+    RepairConfig config;
+    config.chunk_rows = RepairConfig::kWholeFile;
+    config.memory_budget_bytes = budget;
+    const StatusOr<RepairReport> report = Run(rows, config);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(report->chunks, ChunksFor(rows, cap)) << "budget=" << budget;
+    EXPECT_EQ(report->peak_resident_bytes,
+              ChunksFor(cap, RowStore::kRowsPerBlock) * block_bytes_)
+        << "budget=" << budget;
+    EXPECT_LE(report->peak_resident_bytes, BudgetCeilingBytes(budget, 3));
+  }
+}
+
+TEST_F(SpillTest, UnlimitedBudgetKeepsEverythingResident) {
+  // No budget leaves the chunk size alone, and a budget roomier than the
+  // chunk never raises it.
+  EXPECT_EQ(ChunkRowsForBudget(7, 0, 3), 7u);
+  EXPECT_EQ(ChunkRowsForBudget(7, size_t{1} << 30, 3), 7u);
+  for (const size_t budget : {size_t{0}, size_t{1} << 30}) {
+    RepairConfig config;
+    config.chunk_rows = 7;
+    config.memory_budget_bytes = budget;
+    const StatusOr<RepairReport> report = Run(50, config);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(report->chunks, ChunksFor(50, 7)) << "budget=" << budget;
+  }
+}
+
+TEST_F(SpillTest, ZeroArityCannotSpill) {
+  // Without columns there is no row size to divide by: no cap.
+  EXPECT_EQ(ChunkRowsForBudget(100, 1, 0), 100u);
+  EXPECT_EQ(ChunkRowsForBudget(RepairConfig::kWholeFile, 64 << 20, 0),
+            RepairConfig::kWholeFile);
+  EXPECT_EQ(ChunkRowsForBudget(100, 1, 3), 1u);
+  EXPECT_EQ(ChunkRowsForBudget(100, 25 * 12 + 11, 3), 25u);
+}
+
+TEST_F(SpillTest, PartialTailBlockGeometry) {
+  // Two full capped chunks and a partial tail, as the WAL journals them;
+  // the header records the capped chunk size.
+  const std::string wal = ::testing::TempDir() + "/spill_geometry.wal";
+  std::remove(wal.c_str());
+  RepairConfig config;
+  config.chunk_rows = RepairConfig::kWholeFile;
+  config.memory_budget_bytes = 5 * row_bytes_ + row_bytes_ - 1;  // cap 5
+  config.wal_path = wal;
+  const StatusOr<RepairReport> report = Run(13, config);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  const StatusOr<RecoveredRun> scanned = ScanWal(wal);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().message();
+  EXPECT_EQ(scanned->header.chunk_rows, 5u);
+  ASSERT_EQ(scanned->chunks.size(), 3u);
+  EXPECT_EQ(scanned->chunks[0].rows, 5u);
+  EXPECT_EQ(scanned->chunks[1].rows, 5u);
+  EXPECT_EQ(scanned->chunks[2].rows, 3u);
+  EXPECT_EQ(scanned->chunks[2].base_row, 10u);
+  std::remove(wal.c_str());
+}
+
+TEST_F(SpillTest, EvictionPublishesMetrics) {
+  // The residency gauges a heartbeat pairs: budget, chunk cells now, and
+  // the run's peak (the allocation is reused, so now == peak).
+  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  const auto gauge = [](const char* name) {
+    const Gauge* g = MetricsRegistry::Global().FindGauge(name);
+    return g == nullptr ? int64_t{-1} : g->Value();
+  };
+  RepairConfig config;
+  config.memory_budget_bytes = block_bytes_;
+  const StatusOr<RepairReport> report = Run(2 * RowStore::kRowsPerBlock + 1,
+                                            config);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_EQ(gauge("fixrep.progress.budget_bytes"),
+            static_cast<int64_t>(block_bytes_));
+  EXPECT_EQ(gauge("fixrep.progress.peak_resident_bytes"),
+            static_cast<int64_t>(report->peak_resident_bytes));
+  EXPECT_EQ(gauge("fixrep.progress.resident_bytes"),
+            static_cast<int64_t>(report->peak_resident_bytes));
+  // A run without a budget clears the budget gauge.
+  const StatusOr<RepairReport> unbudgeted = Run(10, RepairConfig{});
+  ASSERT_TRUE(unbudgeted.ok());
+  EXPECT_EQ(gauge("fixrep.progress.budget_bytes"), 0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "relation/row_store.h"
 #include "relation/schema.h"
 #include "relation/value_pool.h"
 #include "repair/driver.h"
@@ -247,6 +248,19 @@ inline DriveResult DriveTable(const RuleRepository& repo, Table* table,
   driver.FlushMetrics();
   result.stats = driver.stats();
   return result;
+}
+
+// A stream of `rows` at `cap` rows per chunk takes this many chunks.
+inline size_t ChunksFor(size_t rows, size_t cap) {
+  return rows == 0 ? 0 : (rows - 1) / cap + 1;
+}
+
+// The most cell bytes a chunk capped by a memory budget may hold: the
+// budget rounded up to whole RowStore blocks (the chunk table reserves
+// whole blocks).
+inline size_t BudgetCeilingBytes(size_t budget, size_t arity) {
+  const size_t block = RowStore::kRowsPerBlock * arity * sizeof(ValueId);
+  return ChunksFor(budget, block) * block;
 }
 
 }  // namespace fixrep::testing
